@@ -453,86 +453,6 @@ pub fn model(cfg: &JacobiConfig) -> Model {
         ))
 }
 
-/// An ensemble of independent Jacobi regions: `numprocs` ranks split into
-/// contiguous blocks of `region_size`, each block running the §6 halo
-/// exchange among itself only (halos never cross a region boundary).
-///
-/// This is the parameter-sweep shape clusters actually run — many
-/// same-sized replicas of one stencil at different inputs — and the
-/// canonical *decomposable* workload for the DAG scheduler: the
-/// dependency analysis condenses it into `numprocs / region_size`
-/// mutually independent components, so `--eval-threads` can evaluate the
-/// regions concurrently (bitwise identically at any worker count),
-/// whereas the plain [`model`] is one strongly-connected halo chain.
-///
-/// `region_size` must divide the process count and be ≥ 2 (a region of
-/// one rank has no exchange partner).
-pub fn ensemble_model(cfg: &JacobiConfig, region_size: usize) -> Model {
-    assert!(region_size >= 2, "a Jacobi region needs at least 2 ranks");
-    let halo = "xsize*sizeof(float)";
-    // Region-local boundary guards: rank r is its region's top row when
-    // `r % rsize == 0` and bottom row when `r % rsize == rsize-1`. Each
-    // region is exactly [`model`] on `rsize` ranks, so the per-rank
-    // stencil share is `tserial/rsize`.
-    let not_top = "procnum % rsize != 0";
-    let not_bottom = "procnum % rsize != rsize-1";
-    Model::new()
-        .with_param("xsize", cfg.xsize as f64)
-        .with_param("iterations", cfg.iterations as f64)
-        .with_param("tserial", cfg.serial_secs)
-        .with_param("rsize", region_size as f64)
-        .with_stmt(looped(
-            "iterations",
-            vec![
-                runon2(
-                    "procnum % 2 == 0",
-                    vec![
-                        runon(
-                            not_top,
-                            vec![labelled(send(halo, "procnum", "procnum-1"), "halo-send-up")],
-                        ),
-                        runon(
-                            not_bottom,
-                            vec![
-                                labelled(send(halo, "procnum", "procnum+1"), "halo-send-down"),
-                                labelled(recv(halo, "procnum+1", "procnum"), "halo-recv-down"),
-                            ],
-                        ),
-                        runon(
-                            not_top,
-                            vec![labelled(recv(halo, "procnum-1", "procnum"), "halo-recv-up")],
-                        ),
-                    ],
-                    "procnum % 2 != 0",
-                    vec![
-                        runon(
-                            not_bottom,
-                            vec![labelled(
-                                recv(halo, "procnum+1", "procnum"),
-                                "halo-recv-down",
-                            )],
-                        ),
-                        runon(
-                            not_top,
-                            vec![
-                                labelled(recv(halo, "procnum-1", "procnum"), "halo-recv-up"),
-                                labelled(send(halo, "procnum", "procnum-1"), "halo-send-up"),
-                            ],
-                        ),
-                        runon(
-                            not_bottom,
-                            vec![labelled(
-                                send(halo, "procnum", "procnum+1"),
-                                "halo-send-down",
-                            )],
-                        ),
-                    ],
-                ),
-                labelled(serial("tserial/rsize"), "stencil-compute"),
-            ],
-        ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,41 +520,6 @@ mod tests {
             .unwrap();
             assert!(p.makespan > 0.0);
         }
-    }
-
-    #[test]
-    fn ensemble_model_decomposes_into_independent_regions() {
-        let cfg = JacobiConfig {
-            xsize: 64,
-            iterations: 4,
-            serial_secs: 1e-4,
-        };
-        let m = ensemble_model(&cfg, 2);
-        let timing = TimingModel::hockney(100e-6, 12.5e6);
-        let eval_cfg = EvalConfig::new(8).with_seed(3);
-        let plan = pevpm::dag::plan(&m, &eval_cfg).expect("analysis");
-        assert_eq!(plan.components, 8 / 2, "one component per region");
-        assert!(plan.fallback.is_none(), "{:?}", plan.fallback);
-
-        // The decomposed evaluation is thread-invariant, and every region
-        // runs the same exchange so all ranks finish alike.
-        let serial = evaluate(&m, &eval_cfg, &timing).unwrap();
-        for eval_threads in [1usize, 2, 8] {
-            let c = eval_cfg.clone().with_eval_threads(eval_threads);
-            let p = evaluate(&m, &c, &timing).unwrap();
-            assert_eq!(
-                p.makespan.to_bits(),
-                evaluate(&m, &eval_cfg.clone().with_eval_threads(1), &timing)
-                    .unwrap()
-                    .makespan
-                    .to_bits(),
-                "eval-threads={eval_threads} diverged"
-            );
-        }
-        assert!(serial.makespan > 0.0);
-        // Same per-iteration message count as four independent 2-rank
-        // Jacobis: 2 messages per cut per iteration, one cut per region.
-        assert_eq!(serial.messages, 4 * 2 * 4);
     }
 
     #[test]

@@ -212,96 +212,6 @@ fn replication_throughput(c: &mut Criterion) {
     );
 }
 
-/// Single-evaluation latency of the DAG scheduler vs the serial engine.
-///
-/// The plain Jacobi halo chain condenses to one SCC, so `--eval-threads 1`
-/// runs the identical serial sweep plus the dependency analysis and
-/// scheduler bookkeeping — the pure overhead of the feature. That
-/// overhead must stay ≤ 2% (one-shot median comparison), and the
-/// prediction bitwise identical at every worker count. The ensemble
-/// variant (eight independent 4-rank regions) is the decomposable shape
-/// where extra workers can overlap component evaluations.
-fn dag_scheduler_latency(c: &mut Criterion) {
-    let mut table = DistTable::new();
-    let samples: Vec<f64> = (0..1000).map(|i| 250e-6 + (i % 97) as f64 * 1e-6).collect();
-    for &contention in &[2u32, 64] {
-        table.insert(
-            DistKey {
-                op: Op::Send,
-                size: 1024,
-                contention,
-            },
-            CommDist::Hist(Histogram::from_samples(&samples, 1e-6)),
-        );
-    }
-    let timing = TimingModel::distributions(table);
-    let cfg = JacobiConfig {
-        xsize: 256,
-        iterations: 100,
-        serial_secs: 3.24e-3,
-    };
-    let model = jacobi::model(&cfg);
-    let ensemble = jacobi::ensemble_model(&cfg, 4);
-
-    let serial_cfg = EvalConfig::new(32).with_seed(1);
-    let base = evaluate(&model, &serial_cfg, &timing).unwrap();
-    for eval_threads in [1usize, 2, 8] {
-        let dag_cfg = serial_cfg.clone().with_eval_threads(eval_threads);
-        let p = evaluate(&model, &dag_cfg, &timing).unwrap();
-        assert_eq!(
-            base.makespan.to_bits(),
-            p.makespan.to_bits(),
-            "DAG scheduler must not perturb predictions (eval-threads={eval_threads})"
-        );
-        c.bench_function(
-            &format!("pevpm: 32-proc 100-iter Jacobi evaluation (dag, {eval_threads} worker)"),
-            |b| b.iter(|| black_box(evaluate(&model, &dag_cfg, &timing).unwrap().makespan)),
-        );
-    }
-    c.bench_function(
-        "pevpm: 32-proc 100-iter Jacobi evaluation (serial engine)",
-        |b| b.iter(|| black_box(evaluate(&model, &serial_cfg, &timing).unwrap().makespan)),
-    );
-    for eval_threads in [1usize, 8] {
-        let dag_cfg = serial_cfg.clone().with_eval_threads(eval_threads);
-        c.bench_function(
-            &format!("pevpm: 8-region ensemble evaluation (dag, {eval_threads} worker)"),
-            |b| b.iter(|| black_box(evaluate(&ensemble, &dag_cfg, &timing).unwrap().makespan)),
-        );
-    }
-
-    // One-shot overhead gate: median of 50 single evaluations, serial
-    // engine vs DAG-at-1-worker on the single-SCC program. Interleaved
-    // sampling so machine noise hits both sides alike.
-    let median_of = |cfg: &EvalConfig, walls: &mut Vec<f64>| {
-        let t0 = std::time::Instant::now();
-        black_box(evaluate(&model, cfg, &timing).unwrap().makespan);
-        walls.push(t0.elapsed().as_secs_f64());
-    };
-    let dag1_cfg = serial_cfg.clone().with_eval_threads(1);
-    let (mut serial_walls, mut dag_walls) = (Vec::new(), Vec::new());
-    for _ in 0..50 {
-        median_of(&serial_cfg, &mut serial_walls);
-        median_of(&dag1_cfg, &mut dag_walls);
-    }
-    serial_walls.sort_by(f64::total_cmp);
-    dag_walls.sort_by(f64::total_cmp);
-    let (serial_p50, dag_p50) = (serial_walls[25], dag_walls[25]);
-    let overhead = dag_p50 / serial_p50.max(1e-12) - 1.0;
-    println!(
-        "pevpm: single-eval latency {:.3}ms (serial) vs {:.3}ms (dag, 1 worker), \
-         scheduler overhead {:+.2}%",
-        serial_p50 * 1e3,
-        dag_p50 * 1e3,
-        overhead * 100.0,
-    );
-    assert!(
-        overhead <= 0.02,
-        "DAG scheduler overhead at eval-threads=1 is {:.2}% (budget 2%)",
-        overhead * 100.0
-    );
-}
-
 /// Cost of the observability hooks: the same evaluation with no sink
 /// (default config — the hooks reduce to one branch per event), with a
 /// metrics registry attached, and with timeline recording on. The no-sink
@@ -407,7 +317,6 @@ criterion_group!(
     table_sampling,
     pevpm_eval,
     replication_throughput,
-    dag_scheduler_latency,
     instrumentation_overhead
 );
 criterion_main!(benches);

@@ -40,48 +40,12 @@ fn main() {
          predictions are bitwise identical."
     );
 
-    // Single-evaluation latency: the serial engine vs the DAG scheduler
-    // at each --eval-threads value, on the paper's 64x2 shape. The plain
-    // Jacobi halo chain condenses to one SCC (the DAG rows are then
-    // bitwise the serial engine, measuring pure scheduler overhead); the
-    // ensemble variant splits 128 ranks into eight 16-rank regions, the
-    // decomposable shape where extra workers can actually overlap work.
-    eprintln!("[tcost] timing single-evaluation latency, serial vs DAG...");
-    let lat_shape = MachineShape { nodes: 64, ppn: 2 };
-    let lat_jacobi = JacobiConfig {
-        xsize: 256,
-        iterations: 200,
-        serial_secs: 3.24e-3,
-    };
-    let mut latencies = Vec::new();
-    for region in [None, Some(16)] {
-        for eval_threads in [0usize, 1, 2, 8] {
-            latencies.push(tcost::run_latency(
-                lat_shape,
-                &lat_jacobi,
-                region,
-                30,
-                5,
-                11,
-                eval_threads,
-            ));
-        }
-    }
-    println!("\nT-cost: single-evaluation latency (200-iteration Jacobi, 64x2)\n");
-    println!("{}", tcost::render_latency(&latencies));
-    println!(
-        "'dag-N' routes evaluation through the SCC/DAG scheduler with N workers; \
-         predictions are bitwise identical at every N. Wall-clock speedup is \
-         bounded by the physical cores of the measuring host (host_cores in the \
-         JSON artifact) and by the component count of the program."
-    );
-
     // Cargo runs benches with CWD = the crate directory; default to the
     // workspace root so CI (and humans) find the file in a fixed place.
     let out = std::env::var("BENCH_TCOST_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tcost.json").to_string()
     });
-    let json = tcost::to_json(&results, &latencies);
+    let json = tcost::to_json(&results);
     match std::fs::write(&out, &json) {
         Ok(()) => eprintln!("[tcost] machine-readable results written to {out}"),
         Err(e) => eprintln!("[tcost] cannot write {out}: {e}"),

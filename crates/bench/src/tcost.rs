@@ -393,135 +393,6 @@ pub fn adaptive_to_json(results: &[AdaptiveCostResult]) -> String {
     out
 }
 
-/// One single-evaluation latency measurement: the same Jacobi program
-/// evaluated `evals` times at a fixed seed, reporting the median wall
-/// time of one evaluation. `eval_threads == 0` is the classic serial
-/// engine; any other value routes through the DAG scheduler, whose
-/// prediction is bitwise identical at every worker count (asserted here:
-/// all `evals` runs must agree to the bit).
-#[derive(Debug, Clone)]
-pub struct LatencyResult {
-    /// Machine shape evaluated.
-    pub shape: MachineShape,
-    /// Which program: `"jacobi"` (one halo chain — a single SCC) or
-    /// `"jacobi-ensemble"` (independent regions — one SCC each).
-    pub model: String,
-    /// `--eval-threads` value (0 = serial engine).
-    pub eval_threads: usize,
-    /// How many timed evaluations the median is over.
-    pub evals: usize,
-    /// Median wall seconds per single evaluation.
-    pub p50_eval_wall: f64,
-    /// Predicted makespan — identical across the `evals` runs and, for
-    /// the single-SCC plain Jacobi, identical to the serial engine's.
-    pub virtual_secs: f64,
-    /// SCC components the dependency analysis found.
-    pub components: usize,
-    /// Why the analysis declined, if it did (evaluation then took the
-    /// serial path regardless of `eval_threads`).
-    pub fallback: Option<String>,
-}
-
-/// Measure single-evaluation latency for the §6 Jacobi (or, with
-/// `region_size: Some(r)`, the decomposable ensemble variant) at one
-/// `eval_threads` setting. Uses the same benchmarked table pipeline as
-/// [`run_with`] so rows are comparable with the throughput experiment.
-pub fn run_latency(
-    shape: MachineShape,
-    jacobi_cfg: &JacobiConfig,
-    region_size: Option<usize>,
-    bench_reps: usize,
-    evals: usize,
-    seed: u64,
-    eval_threads: usize,
-) -> LatencyResult {
-    assert!(evals >= 1);
-    let table = crate::fig6::shape_table(
-        shape,
-        &[
-            jacobi_cfg.halo_bytes() / 2,
-            jacobi_cfg.halo_bytes(),
-            jacobi_cfg.halo_bytes() * 2,
-        ],
-        bench_reps,
-        seed,
-    );
-    let timing = TimingModel::distributions(table);
-    let (name, model) = match region_size {
-        Some(r) => (
-            "jacobi-ensemble".to_string(),
-            jacobi::ensemble_model(jacobi_cfg, r),
-        ),
-        None => ("jacobi".to_string(), jacobi::model(jacobi_cfg)),
-    };
-    let nprocs = shape.nodes * shape.ppn;
-    let cfg = EvalConfig::new(nprocs)
-        .with_seed(seed)
-        .with_eval_threads(eval_threads);
-    let plan = pevpm::dag::plan(&model, &cfg).expect("dependency analysis failed");
-
-    let mut walls = Vec::with_capacity(evals);
-    let mut makespan_bits = None;
-    for _ in 0..evals {
-        let t0 = Instant::now();
-        let p = pevpm::vm::evaluate(&model, &cfg, &timing).expect("PEVPM evaluation failed");
-        walls.push(t0.elapsed().as_secs_f64());
-        match makespan_bits {
-            None => makespan_bits = Some(p.makespan.to_bits()),
-            Some(bits) => assert_eq!(
-                bits,
-                p.makespan.to_bits(),
-                "repeated evaluation at a fixed seed must be bitwise stable"
-            ),
-        }
-    }
-    walls.sort_by(f64::total_cmp);
-    LatencyResult {
-        shape,
-        model: name,
-        eval_threads,
-        evals,
-        p50_eval_wall: walls[walls.len() / 2],
-        virtual_secs: f64::from_bits(makespan_bits.expect("at least one eval")),
-        components: plan.components,
-        fallback: plan.fallback,
-    }
-}
-
-/// Render the single-evaluation latency table.
-pub fn render_latency(results: &[LatencyResult]) -> String {
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            vec![
-                r.shape.to_string(),
-                r.model.clone(),
-                if r.eval_threads == 0 {
-                    "serial".to_string()
-                } else {
-                    format!("dag-{}", r.eval_threads)
-                },
-                crate::report::secs(r.p50_eval_wall),
-                crate::report::secs(r.virtual_secs),
-                r.components.to_string(),
-                r.fallback.clone().unwrap_or_default(),
-            ]
-        })
-        .collect();
-    crate::report::table(
-        &[
-            "shape",
-            "model",
-            "engine",
-            "p50-eval",
-            "virtual",
-            "components",
-            "fallback",
-        ],
-        &rows,
-    )
-}
-
 /// Render the cost table.
 pub fn render(results: &[CostResult]) -> String {
     let rows: Vec<Vec<String>> = results
@@ -561,16 +432,11 @@ pub fn render(results: &[CostResult]) -> String {
 }
 
 /// Serialise cost results as machine-readable JSON (the `BENCH_tcost.json`
-/// CI artifact): one record per (shape, sampler) run, a `speedups`
-/// section pairing compiled against interpreted runs of the same shape,
-/// a `latency` section of single-evaluation rows (serial engine vs DAG
-/// scheduler at each `eval_threads`), and a `dag_vs_serial` section
-/// pairing each DAG row against the serial row of the same (shape,
-/// model). `host_cores` records how many physical workers the measuring
-/// host actually had — wall-clock speedups are bounded by it (a
-/// single-core host can only show ~1x however many components there are),
-/// while `virtual_secs` agreement is exact everywhere by construction.
-pub fn to_json(results: &[CostResult], latencies: &[LatencyResult]) -> String {
+/// CI artifact): one record per (shape, sampler) run plus a `speedups`
+/// section pairing compiled against interpreted runs of the same shape.
+/// `host_cores` records how many physical workers the measuring host
+/// had, since wall-clock figures depend on it.
+pub fn to_json(results: &[CostResult]) -> String {
     use pevpm_obs::json::{escape, num};
     let mut out = format!(
         "{{\n  \"host_cores\": {},\n  \"results\": [\n",
@@ -621,56 +487,6 @@ pub fn to_json(results: &[CostResult], latencies: &[LatencyResult]) -> String {
             escape(shape),
             num(*speedup),
             if i + 1 < pairs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"latency\": [\n");
-    for (i, r) in latencies.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shape\": \"{}\", \"model\": \"{}\", \"engine\": \"{}\", \
-             \"eval_threads\": {}, \"evals\": {}, \"p50_eval_wall_secs\": {}, \
-             \"virtual_secs\": {}, \"components\": {}, \"fallback\": {}}}{}\n",
-            escape(&r.shape.to_string()),
-            escape(&r.model),
-            if r.eval_threads == 0 { "serial" } else { "dag" },
-            r.eval_threads,
-            r.evals,
-            num(r.p50_eval_wall),
-            num(r.virtual_secs),
-            r.components,
-            match &r.fallback {
-                Some(reason) => format!("\"{}\"", escape(reason)),
-                None => "null".to_string(),
-            },
-            if i + 1 < latencies.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"dag_vs_serial\": [\n");
-    let dag_pairs: Vec<String> = latencies
-        .iter()
-        .filter(|r| r.eval_threads > 0)
-        .filter_map(|d| {
-            let serial = latencies.iter().find(|s| {
-                s.eval_threads == 0
-                    && s.model == d.model
-                    && s.shape.nodes == d.shape.nodes
-                    && s.shape.ppn == d.shape.ppn
-            })?;
-            Some(format!(
-                "{{\"shape\": \"{}\", \"model\": \"{}\", \"eval_threads\": {}, \
-                 \"speedup\": {}, \"components\": {}, \"virtual_match\": {}}}",
-                escape(&d.shape.to_string()),
-                escape(&d.model),
-                d.eval_threads,
-                num(serial.p50_eval_wall / d.p50_eval_wall.max(1e-12)),
-                d.components,
-                d.virtual_secs.to_bits() == serial.virtual_secs.to_bits(),
-            ))
-        })
-        .collect();
-    for (i, row) in dag_pairs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {row}{}\n",
-            if i + 1 < dag_pairs.len() { "," } else { "" },
         ));
     }
     out.push_str("  ]\n}\n");
@@ -745,7 +561,7 @@ mod tests {
         assert_eq!(c.steps, i.steps);
         assert_eq!(c.sb_peak, i.sb_peak);
 
-        let js = to_json(&[c, i], &[]);
+        let js = to_json(&[c, i]);
         let parsed = pevpm_obs::json::parse(&js).expect("BENCH_tcost.json parses");
         assert!(parsed
             .get("host_cores")
@@ -767,77 +583,6 @@ mod tests {
             .get("compiled_vs_interpreted")
             .and_then(|v| v.as_num())
             .is_some_and(|v| v > 0.0));
-    }
-
-    #[test]
-    fn latency_rows_pair_dag_against_serial_bitwise() {
-        let cfg = JacobiConfig {
-            xsize: 64,
-            iterations: 10,
-            serial_secs: 1e-4,
-        };
-        let shape = MachineShape { nodes: 8, ppn: 1 };
-        let mut latencies = Vec::new();
-        // Serial engine plus the DAG scheduler at each worker count, on
-        // both the single-SCC Jacobi and the 4-region ensemble.
-        for region in [None, Some(2)] {
-            for eval_threads in [0usize, 1, 2, 8] {
-                latencies.push(run_latency(shape, &cfg, region, 10, 3, 7, eval_threads));
-            }
-        }
-        let plain: Vec<&LatencyResult> = latencies.iter().filter(|r| r.model == "jacobi").collect();
-        let ens: Vec<&LatencyResult> = latencies
-            .iter()
-            .filter(|r| r.model == "jacobi-ensemble")
-            .collect();
-        assert_eq!(plain[0].components, 1, "the halo chain is one SCC");
-        assert_eq!(ens[0].components, 4, "2-rank regions over 8 ranks");
-        // The single-SCC program is bitwise the serial engine at every
-        // eval-threads value. The multi-component ensemble draws
-        // per-component RNG streams, so its DAG rows are only required
-        // to agree with each other — at every worker count.
-        for r in &plain {
-            assert_eq!(
-                r.virtual_secs.to_bits(),
-                plain[0].virtual_secs.to_bits(),
-                "plain Jacobi diverged at eval-threads={}",
-                r.eval_threads
-            );
-        }
-        for r in ens.iter().filter(|r| r.eval_threads > 0) {
-            assert_eq!(
-                r.virtual_secs.to_bits(),
-                ens[1].virtual_secs.to_bits(),
-                "ensemble DAG rows diverged at eval-threads={}",
-                r.eval_threads
-            );
-        }
-
-        let js = to_json(&[], &latencies);
-        let parsed = pevpm_obs::json::parse(&js).expect("json parses");
-        let lat = parsed.get("latency").and_then(|r| r.as_array()).unwrap();
-        assert_eq!(lat.len(), 8);
-        assert!(lat.iter().all(|r| r
-            .get("p50_eval_wall_secs")
-            .and_then(|v| v.as_num())
-            .unwrap()
-            > 0.0));
-        let dvs = parsed
-            .get("dag_vs_serial")
-            .and_then(|r| r.as_array())
-            .unwrap();
-        assert_eq!(dvs.len(), 6, "three DAG rows per model");
-        // The plain-Jacobi rows must report an exact virtual-time match.
-        for row in dvs
-            .iter()
-            .filter(|r| r.get("model").and_then(|m| m.as_str()) == Some("jacobi"))
-        {
-            assert_eq!(
-                row.get("virtual_match").and_then(|v| v.as_bool()),
-                Some(true)
-            );
-            assert!(row.get("speedup").and_then(|v| v.as_num()).unwrap() > 0.0);
-        }
     }
 
     #[test]

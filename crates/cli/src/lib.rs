@@ -10,10 +10,9 @@
 //! pevpm annotate FILE.c
 //! pevpm predict  --model FILE.c --db DB.dist --procs N
 //!                [--mode dist|avg|min] [--pingpong] [--param k=v ...]
-//!                [--seed S] [--reps R] [--threads T] [--eval-threads E]
+//!                [--seed S] [--reps R] [--threads T]
 //!                [--trace-out TRACE.json] [--metrics-out METRICS.json]
 //! pevpm serve    --db [NAME=]DB.dist ... [--addr HOST:PORT] [--threads T]
-//!                [--eval-threads E]
 //!                [--http HOST:PORT] [--log-out FILE] [--log-slow-ms MS]
 //! pevpm client   (--addr HOST:PORT | --port-file PATH) --model FILE.c --procs N
 //! pevpm trace    --nodes N [--ppn P] [--xsize X] [--iters I]
@@ -202,19 +201,13 @@ USAGE:
 
   pevpm predict  --model FILE.c --db DB.dist --procs N [--mode dist|avg|min]
                  [--pingpong] [--exact-quantiles] [--param k=v ...] [--seed S]
-                 [--reps R] [--threads T] [--eval-threads E] [--quorum K]
+                 [--reps R] [--threads T] [--quorum K]
                  [--precision P] [--min-reps N] [--max-reps N] [--antithetic]
                  [--max-steps N] [--max-virtual-secs S]
                  [--trace-out TRACE.json] [--metrics-out M.json]
       Evaluate the annotated program's PEVPM model against a database.
       --reps R > 1 runs a Monte-Carlo batch of R derived-seed replications
-      (mean +/- stderr); --threads T as for bench. --eval-threads E >= 1
-      parallelises *inside* each evaluation: the model program is
-      SCC-decomposed into independent rank components scheduled
-      concurrently, with bitwise-identical predictions at every E (0, the
-      default, keeps the classic serial engine). --threads and
-      --eval-threads share one core budget, so R x E replica-workers never
-      oversubscribe the host. --quorum K lets the
+      (mean +/- stderr); --threads T as for bench. --quorum K lets the
       batch complete when at least K replications succeed: failed
       replications are listed in the report and counted in the
       mc.replica_failures metric instead of aborting. --precision P
@@ -244,7 +237,7 @@ USAGE:
       prediction's validate/model/compile/eval/render stage windows.
 
   pevpm serve    --db [NAME=]DB.dist ... [--addr HOST:PORT] [--threads T]
-                 [--eval-threads E] [--conns C] [--io-timeout-ms MS]
+                 [--conns C] [--io-timeout-ms MS]
                  [--inflight N] [--queue N] [--shed-retry-ms MS]
                  [--drain-ms MS]
                  [--max-reps N] [--max-steps N] [--max-virtual-secs S]
@@ -278,13 +271,13 @@ USAGE:
       observational only: responses are byte-identical with it on or off.
       --conns C serves up to C connections concurrently (default 4)
       through a fixed worker pool; responses stay bitwise identical at
-      every C, and conns x reps-pool x eval-threads shares one host core
-      budget. --io-timeout-ms puts read/write deadlines on every
-      protocol socket (default 30000; 0 disables): an idle peer is
-      quietly evicted, a peer stalled mid-frame gets a structured
-      \"timeout\" error and a closed socket. --inflight N bounds
-      concurrently-evaluating predictions (default: the pool width) with
-      a --queue N wait queue (default: same as --inflight); past both
+      every C, and conns x reps-pool shares one host core budget.
+      --io-timeout-ms puts read/write deadlines on every protocol socket
+      (default 30000; 0 disables): an idle peer is quietly evicted, a
+      peer stalled mid-frame gets a structured \"timeout\" error and a
+      closed socket. --inflight N bounds concurrently-evaluating
+      predictions (default: the pool width) with a --queue N wait queue
+      (default: same as --inflight); past both
       the daemon sheds with an \"overloaded\" response carrying a
       retry_after_ms hint (--shed-retry-ms, default 100) instead of
       queueing unboundedly. On `shutdown` or SIGTERM the daemon drains
@@ -332,7 +325,7 @@ USAGE:
       --faults is given, injected-fault marks (pid 3); the prediction
       samples --db when given, else an analytic Hockney model.
 
-  pevpm fuzz     [--mode differential|metamorphic|ks|diagnostics|dag|adaptive|all]
+  pevpm fuzz     [--mode differential|metamorphic|ks|diagnostics|adaptive|all]
                  [--programs N] [--seed S] [--alpha A] [--reps R]
                  [--ks-runs K] [--bench-reps B] [--out DIR]
                  [--replay FILE.model]
@@ -341,7 +334,7 @@ USAGE:
       (bitwise interpreted/compiled/unfolded agreement, two-sample KS at
       significance A against mpisim co-simulation, size-scaling and
       empty-fault-plan metamorphic relations, deadlock diagnostics,
-      DAG-scheduler thread-count invariance, adaptive-stopping
+      adaptive-stopping
       agreement with fixed max-reps batches).
       Failing programs are shrunk to minimal counterexamples; --out DIR
       writes each as a replayable .model artifact. --replay re-runs one
@@ -710,7 +703,6 @@ fn predict_request(args: &Args, src: String) -> Result<PredictRequest, CliError>
     req.seed = args.get_parsed("seed", 1)?;
     req.reps = args.get_parsed("reps", 1)?;
     req.threads = args.get_parsed("threads", 0)?;
-    req.eval_threads = args.get_parsed("eval-threads", 0)?;
     for kv in args.values("param") {
         let Some((k, v)) = kv.split_once('=') else {
             return err(format!("--param expects k=v, got {kv:?}"));
@@ -898,7 +890,6 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
         addr: args.get("addr").unwrap_or("127.0.0.1:0").to_string(),
         tables: serve_tables(args)?,
         threads: args.get_parsed("threads", 0)?,
-        eval_threads: args.get_parsed("eval-threads", 0)?,
         max_reps: args.get_parsed("max-reps", 0)?,
         max_steps: match args.get("max-steps") {
             None => None,
@@ -1284,7 +1275,7 @@ fn cmd_fuzz(args: &Args) -> Result<String, CliError> {
         "all" => Mode::ALL.to_vec(),
         m => vec![Mode::from_name(m).ok_or_else(|| {
             CliError::usage(format!(
-                "unknown mode {m:?} (differential|metamorphic|ks|diagnostics|dag|adaptive|all)"
+                "unknown mode {m:?} (differential|metamorphic|ks|diagnostics|adaptive|all)"
             ))
         })?],
     };
@@ -1346,10 +1337,40 @@ mod tests {
         run(s.split_whitespace().map(String::from).collect())
     }
 
-    fn tmpdir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("pevpm_cli_test_{}", std::process::id()));
+    /// A scratch directory private to one test, removed when dropped.
+    /// Tests run in parallel, so a directory shared by the whole process
+    /// would be deleted under tests still reading from it.
+    struct TmpDir(std::path::PathBuf);
+
+    impl std::ops::Deref for TmpDir {
+        type Target = std::path::Path;
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<std::path::Path> for TmpDir {
+        fn as_ref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
+    /// `pevpm_cli_test_<pid>_<test name>`: the harness names each test's
+    /// thread after the test.
+    fn tmpdir() -> TmpDir {
+        let test = std::thread::current()
+            .name()
+            .unwrap_or("unnamed")
+            .replace(|c: char| !c.is_ascii_alphanumeric(), "_");
+        let d = std::env::temp_dir().join(format!("pevpm_cli_test_{}_{test}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
-        d
+        TmpDir(d)
     }
 
     #[test]

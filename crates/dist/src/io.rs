@@ -340,6 +340,35 @@ mod tests {
         t
     }
 
+    /// A scratch directory private to one test (named after the process
+    /// and the test thread), removed when dropped, so parallel tests and
+    /// concurrent test processes never share one.
+    struct TmpDir(std::path::PathBuf);
+
+    impl std::ops::Deref for TmpDir {
+        type Target = std::path::Path;
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
+    fn tmpdir() -> TmpDir {
+        let test = std::thread::current()
+            .name()
+            .unwrap_or("unnamed")
+            .replace(|c: char| !c.is_ascii_alphanumeric(), "_");
+        let d =
+            std::env::temp_dir().join(format!("pevpm_dist_io_test_{}_{test}", std::process::id()));
+        std::fs::create_dir_all(&d).unwrap();
+        TmpDir(d)
+    }
+
     #[test]
     fn roundtrip_preserves_table() {
         let t = sample_table();
@@ -414,8 +443,7 @@ mod tests {
     #[test]
     fn file_roundtrip() {
         let t = sample_table();
-        let dir = std::env::temp_dir().join("pevpm_dist_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir();
         let path = dir.join("sample.dist");
         save_table(&t, &path).unwrap();
         let back = load_table(&path).unwrap();
@@ -440,8 +468,7 @@ mod tests {
         let e = load_table(missing).unwrap_err();
         assert!(e.to_string().contains("table.dist"), "{e}");
 
-        let dir = std::env::temp_dir().join("pevpm_dist_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir();
         let path = dir.join("corrupt.dist");
         std::fs::write(&path, "PEVPM-DIST v1\nentry op=warp size=1 contention=1\n").unwrap();
         let e = load_table(&path).unwrap_err();
@@ -464,8 +491,7 @@ mod tests {
     #[test]
     fn truncated_files_report_the_final_line() {
         let full = write_table(&sample_table());
-        let dir = std::env::temp_dir().join("pevpm_dist_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir();
         let path = dir.join("truncated.dist");
         let lines: Vec<&str> = full.lines().collect();
         // Cut after each prefix that ends on an entry or hist line —
@@ -502,8 +528,7 @@ mod tests {
     /// there are no lines to blame before decoding succeeds.
     #[test]
     fn non_utf8_files_report_encoding_not_a_line() {
-        let dir = std::env::temp_dir().join("pevpm_dist_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir();
         let path = dir.join("binary.dist");
         std::fs::write(&path, [0x50u8, 0x45, 0x56, 0xff, 0xfe, 0x00, 0x80]).unwrap();
         let e = load_table(&path).unwrap_err();

@@ -45,7 +45,6 @@
 //! ```
 
 pub mod annotate;
-pub mod dag;
 pub mod expr;
 pub(crate) mod lower;
 pub mod model;
@@ -57,10 +56,8 @@ pub mod trace_export;
 pub mod vm;
 
 pub use annotate::{parse_annotations, AnnotateError, JACOBI_FIG5};
-pub use dag::DagPlan;
 pub use expr::{parse as parse_expr, Env, Expr, ExprError};
 pub use model::{CollOp, Model, MsgKind, Stmt};
-pub use replicate::ThreadBudget;
 pub use scoreboard::{Handle, PairFifo, Slab};
 pub use stats::{AdaptivePolicy, AdaptiveReport};
 pub use timing::{PredictionMode, TimingModel};

@@ -228,20 +228,6 @@ impl LExpr {
             LExpr::Binary(_, a, b) | LExpr::Call2(_, a, b) => a.has_var() || b.has_var(),
         }
     }
-
-    /// True when the expression reads variable slot `slot`. The
-    /// dependency-graph pass ([`crate::dag`]) uses this to decide whether a
-    /// loop body's communication endpoints can vary across iterations.
-    pub(crate) fn references(&self, slot: u32) -> bool {
-        match self {
-            LExpr::Num(_) => false,
-            LExpr::Var(i) => *i == slot,
-            LExpr::Unary(_, e) | LExpr::Call1(_, e) => e.references(slot),
-            LExpr::Binary(_, a, b) | LExpr::Call2(_, a, b) => {
-                a.references(slot) || b.references(slot)
-            }
-        }
-    }
 }
 
 /// An interned directive label: the text (borrowed from the model) plus a

@@ -152,60 +152,6 @@ pub fn replica_seed(base: u64, index: u64) -> u64 {
     base.wrapping_add(index)
 }
 
-/// Shared worker budget for nested parallelism: an outer replication pool
-/// whose jobs each run an inner DAG-scheduled evaluation
-/// (`--threads × --eval-threads`). The outer pool keeps the width the
-/// user asked for — the historical `--threads` contract — and the inner
-/// scheduler gets the per-job share of the total, so the two levels
-/// combined never spawn more workers than the budget. Capping the inner
-/// level is result-neutral: DAG predictions are bitwise identical at any
-/// worker count `>= 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadBudget {
-    total: usize,
-}
-
-impl ThreadBudget {
-    /// Budget of `total` workers; `0` means "all available cores".
-    pub fn new(total: usize) -> Self {
-        ThreadBudget {
-            total: resolve_threads(total),
-        }
-    }
-
-    /// Budget covering the host's hardware threads.
-    pub fn from_host() -> Self {
-        ThreadBudget::new(0)
-    }
-
-    /// Total workers in the budget (at least 1).
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Outer (replication) pool width for `requested` threads over `jobs`
-    /// jobs: an explicit request is honoured verbatim, `0` = all cores,
-    /// never wider than the job count.
-    pub fn outer(&self, requested: usize, jobs: usize) -> usize {
-        resolve_threads(requested).min(jobs.max(1))
-    }
-
-    /// Inner (intra-evaluation) worker count each of `outer` concurrent
-    /// jobs may use: the per-job share of the budget, clamped to the
-    /// request. `requested == 0` (inner parallelism disabled) stays `0`.
-    /// The budget is raised to at least the outer width first, so an
-    /// explicitly oversized outer pool leaves each job one inner worker
-    /// rather than zero.
-    pub fn inner(&self, outer: usize, requested: usize) -> usize {
-        if requested == 0 {
-            return 0;
-        }
-        let outer = outer.max(1);
-        let total = self.total.max(outer);
-        (total / outer).clamp(1, requested)
-    }
-}
-
 /// Map `f` over `0..n` on up to `threads` worker threads, returning the
 /// results in index order. `f(i)` must depend only on `i` (plus captured
 /// immutable state) — then the output is identical at any thread count.
@@ -611,59 +557,5 @@ mod tests {
         assert_eq!(p.total_jobs(), 0);
         assert_eq!(p.utilization(), 0.0);
         assert_eq!(p.idle_secs(), 0.0);
-    }
-
-    #[test]
-    fn thread_budget_splits_without_oversubscribing() {
-        let b = ThreadBudget::new(16);
-        assert_eq!(b.total(), 16);
-        // 8 outer workers × 2 inner workers = exactly the budget.
-        assert_eq!(b.inner(8, 8), 2);
-        // The inner level never exceeds the request...
-        assert_eq!(b.inner(2, 3), 3);
-        assert_eq!(b.inner(1, 4), 4);
-        // ...and a disabled inner level stays disabled.
-        assert_eq!(b.inner(8, 0), 0);
-    }
-
-    #[test]
-    fn thread_budget_never_starves_a_job() {
-        // An outer pool wider than the budget still leaves each job one
-        // inner worker — `outer × inner` is then exactly `outer`, the
-        // width the user explicitly asked for.
-        let b = ThreadBudget::new(4);
-        assert_eq!(b.inner(8, 8), 1);
-        assert_eq!(b.inner(100, 2), 1);
-    }
-
-    #[test]
-    fn thread_budget_outer_honours_requests_and_job_counts() {
-        let b = ThreadBudget::new(4);
-        // Explicit request honoured verbatim (the `--threads` contract)…
-        assert_eq!(b.outer(8, 100), 8);
-        // …but never wider than the job count.
-        assert_eq!(b.outer(8, 3), 3);
-        // `0` = all cores.
-        assert_eq!(b.outer(0, usize::MAX), available_threads());
-        assert!(b.outer(0, 1) == 1);
-    }
-
-    #[test]
-    fn thread_budget_product_is_bounded() {
-        // The invariant the regression guards: for any request pair, the
-        // spawned worker product stays within max(budget, outer).
-        for total in [1usize, 2, 4, 8, 64] {
-            let b = ThreadBudget::new(total);
-            for outer_req in [1usize, 2, 7, 8, 33] {
-                for inner_req in [1usize, 2, 8, 19] {
-                    let outer = b.outer(outer_req, 1000);
-                    let inner = b.inner(outer, inner_req);
-                    assert!(
-                        outer * inner <= b.total().max(outer),
-                        "budget {total}: {outer_req}×{inner_req} spawned {outer}×{inner}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -256,18 +256,6 @@ impl PairFifo {
         })
     }
 
-    /// Iterate every in-flight message in deterministic order — ascending
-    /// destination rank, then ascending sender rank, then send order —
-    /// yielding `(from, to, handle)`. The DAG scheduler uses this to hand
-    /// a finished component's unmatched sends to downstream components.
-    pub fn in_flight(&self) -> impl Iterator<Item = (usize, usize, Handle)> + '_ {
-        self.by_dest.iter().enumerate().flat_map(|(to, senders)| {
-            senders
-                .iter()
-                .flat_map(move |(&from, s)| s.queue.iter().map(move |&(_, h)| (from, to, h)))
-        })
-    }
-
     /// Consume the wildcard head of pair `from → to`: advance the receive
     /// counter past it and drop it from the queue. Returns the consumed
     /// handle (`None` if the pair has no head in flight — callers pass a

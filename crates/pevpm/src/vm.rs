@@ -59,16 +59,6 @@ pub struct EvalConfig {
     /// `0` = all available cores, `1` = serial. Results are bitwise
     /// identical at any setting (see [`crate::replicate`]).
     pub threads: usize,
-    /// Worker threads for intra-evaluation DAG scheduling
-    /// ([`crate::dag`]): `0` (the default) runs the classic serial
-    /// sweep/match engine; any value `>= 1` decomposes the program into
-    /// SCC components and evaluates independent components concurrently.
-    /// Predictions are bitwise identical at every value `>= 1`, and match
-    /// the serial engine exactly whenever the program condenses to a
-    /// single component (see DESIGN.md). When nested under [`monte_carlo`]
-    /// the effective value is capped by the shared
-    /// [`crate::replicate::ThreadBudget`].
-    pub eval_threads: usize,
     /// Metrics sink. When installed the VM records sweep/match phase
     /// counts, the contention level at every message injection, scoreboard
     /// occupancy, and per-directive loss attribution into it (see the
@@ -119,7 +109,6 @@ impl EvalConfig {
             budget: RunBudget::default(),
             quorum: None,
             threads: 0,
-            eval_threads: 0,
             metrics: None,
             record_timeline: false,
             const_fold: true,
@@ -144,13 +133,6 @@ impl EvalConfig {
     /// Builder: set the replication worker-thread count (`0` = all cores).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Builder: set the intra-evaluation DAG worker count (`0` = serial
-    /// engine, `>= 1` = DAG scheduler; see [`EvalConfig::eval_threads`]).
-    pub fn with_eval_threads(mut self, eval_threads: usize) -> Self {
-        self.eval_threads = eval_threads;
         self
     }
 
@@ -651,16 +633,12 @@ struct Vm<'m> {
     timeline: Option<Vec<Vec<TimelineSpan>>>,
 }
 
-/// The shared evaluation prologue: parameters merged and checked, the
-/// directive tree lowered, and the base variable environment built. The
-/// serial engine runs it once per evaluation; the DAG scheduler
-/// ([`crate::dag`]) runs it once and shares it across component runs.
-pub(crate) struct EvalSetup<'m> {
-    pub(crate) lowered: crate::lower::LoweredModel<'m>,
-    pub(crate) base: Vec<Option<f64>>,
-}
-
-pub(crate) fn prepare<'m>(model: &'m Model, cfg: &EvalConfig) -> Result<EvalSetup<'m>, PevpmError> {
+/// Evaluate a model: the public entry point of the PEVPM engine.
+pub fn evaluate(
+    model: &Model,
+    cfg: &EvalConfig,
+    timing: &TimingModel,
+) -> Result<Prediction, PevpmError> {
     assert!(cfg.nprocs > 0, "need at least one process");
     let mut merged = model.params.clone();
     for (k, v) in &cfg.params {
@@ -681,79 +659,10 @@ pub(crate) fn prepare<'m>(model: &'m Model, cfg: &EvalConfig) -> Result<EvalSetu
     // Standard variables override same-named parameters, as in
     // `standard_env`.
     base[lowered.numprocs as usize] = Some(cfg.nprocs as f64);
-    Ok(EvalSetup { lowered, base })
-}
 
-/// A message crossing a component boundary in the DAG schedule: posted by
-/// a finished upstream component, consumed by a downstream one. Its
-/// arrival time is already fixed (sampled in the sender's component), so
-/// downstream injection is deterministic and consumes no RNG. Rendezvous
-/// sends can never cross a boundary — their sender/receiver edge pair puts
-/// both ends in the same SCC — so external messages are always eager.
-#[derive(Debug, Clone)]
-pub(crate) struct ExternalMsg {
-    pub(crate) from: usize,
-    pub(crate) to: usize,
-    pub(crate) size: f64,
-    pub(crate) kind: MsgKind,
-    pub(crate) arrival: f64,
-}
-
-/// Raw per-run results of the sweep/match engine, before race
-/// deduplication and report materialisation. The serial path feeds one of
-/// these straight to [`finish_prediction`]; the DAG scheduler merges one
-/// per component first.
-pub(crate) struct VmOutcome {
-    pub(crate) clocks: Vec<f64>,
-    pub(crate) compute_time: Vec<f64>,
-    pub(crate) send_time: Vec<f64>,
-    pub(crate) blocked_time: Vec<f64>,
-    pub(crate) messages: u64,
-    pub(crate) steps: u64,
-    pub(crate) sb_peak: usize,
-    pub(crate) races: Vec<(usize, String)>,
-    pub(crate) loss: Vec<f64>,
-    pub(crate) loss_touched: Vec<bool>,
-    pub(crate) timeline: Option<Vec<Vec<TimelineSpan>>>,
-    /// In-flight messages addressed to inactive processes at run end, in
-    /// deterministic (dest, sender, FIFO) order. Always empty for
-    /// unrestricted runs.
-    pub(crate) external: Vec<ExternalMsg>,
-}
-
-/// Run the sweep/match engine over the prepared program. `active` limits
-/// the run to a subset of processes (inactive ones start finished and are
-/// never swept); `injected` preloads cross-component messages with fixed
-/// arrivals. The unrestricted call — `active: None`, no injections, seed
-/// `cfg.seed` — is bit-for-bit the historical serial evaluation.
-pub(crate) fn run_lowered(
-    setup: &EvalSetup<'_>,
-    cfg: &EvalConfig,
-    timing: &TimingModel,
-    seed: u64,
-    active: Option<&[bool]>,
-    injected: &[ExternalMsg],
-) -> Result<VmOutcome, PevpmError> {
-    let lowered = &setup.lowered;
     let procs: Vec<Proc> = (0..cfg.nprocs)
         .map(|p| {
-            if active.is_some_and(|a| !a[p]) {
-                // Inactive processes never run: no environment clone, no
-                // stack — they just read as finished with zero clocks.
-                return Proc {
-                    env: Vec::new(),
-                    clock: 0.0,
-                    stack: Vec::new(),
-                    blocked: None,
-                    finished: true,
-                    compute_time: 0.0,
-                    send_time: 0.0,
-                    blocked_time: 0.0,
-                    coll_count: 0,
-                    handles: Vec::new(),
-                };
-            }
-            let mut env = setup.base.clone();
+            let mut env = base.clone();
             env[lowered.procnum as usize] = Some(p as f64);
             Proc {
                 env,
@@ -782,7 +691,7 @@ pub(crate) fn run_lowered(
         procs,
         scoreboard: Slab::new(),
         fifo: PairFifo::new(cfg.nprocs),
-        rng: SmallRng::seed_from_u64(seed),
+        rng: SmallRng::seed_from_u64(cfg.seed),
         steps: 0,
         started: std::time::Instant::now(),
         sb_peak: 0,
@@ -795,97 +704,22 @@ pub(crate) fn run_lowered(
             .record_timeline
             .then(|| (0..cfg.nprocs).map(|_| Vec::new()).collect()),
     };
-    // Preload cross-component messages. Their sequence numbers come from
-    // the sender-side counters, which are otherwise unused here: the
-    // senders are inactive in this run.
-    for m in injected {
-        let seq = vm.fifo.next_send_seq(m.from, m.to);
-        let h = vm.scoreboard.insert(SbMsg {
-            from: m.from,
-            size: m.size,
-            kind: m.kind,
-            depart: m.arrival,
-            u: 0.0,
-            arrival: Some(m.arrival),
-            sender_blocked: false,
-        });
-        vm.fifo.enqueue(m.from, m.to, seq, h);
-    }
-    vm.sb_peak = vm.scoreboard.len();
     vm.run()?;
 
-    // Collect sends left addressed to inactive processes: they cross the
-    // component boundary. Arrivals not yet sampled get one at the final
-    // scoreboard population, replaying the stored draw — the same rule
-    // `match_phase` would apply on its next pass.
-    let external = match active {
-        None => Vec::new(),
-        Some(active) => {
-            let contention = vm.scoreboard.len() as f64;
-            let mut out = Vec::new();
-            for (from, to, h) in vm.fifo.in_flight() {
-                if active[to] {
-                    continue;
-                }
-                let m = vm.scoreboard.get(h).expect("in-flight handles are live");
-                let arrival = match m.arrival {
-                    Some(a) => a,
-                    None => {
-                        let op = op_for_kind(m.kind);
-                        let dt = Vm::quantile_with_fallback(timing, op, m.size, contention, m.u)
-                            .ok_or(PevpmError::MissingTiming { op, size: m.size })?;
-                        m.depart + dt.max(0.0)
-                    }
-                };
-                out.push(ExternalMsg {
-                    from,
-                    to,
-                    size: m.size,
-                    kind: m.kind,
-                    arrival,
-                });
-            }
-            out
-        }
-    };
-
-    Ok(VmOutcome {
-        clocks: vm.procs.iter().map(|p| p.clock).collect(),
-        compute_time: vm.procs.iter().map(|p| p.compute_time).collect(),
-        send_time: vm.procs.iter().map(|p| p.send_time).collect(),
-        blocked_time: vm.procs.iter().map(|p| p.blocked_time).collect(),
-        messages: vm.messages,
-        steps: vm.steps,
-        sb_peak: vm.sb_peak,
-        races: vm.races,
-        loss: vm.loss,
-        loss_touched: vm.loss_touched,
-        timeline: vm.timeline.take(),
-        external,
-    })
-}
-
-/// The shared evaluation epilogue: stable race reporting, the label-keyed
-/// loss report, end-of-run registry aggregates, and the [`Prediction`].
-pub(crate) fn finish_prediction(
-    setup: &EvalSetup<'_>,
-    cfg: &EvalConfig,
-    mut outcome: VmOutcome,
-) -> Prediction {
     // Stable race reporting: sorted by (proc, description) and
     // deduplicated, so the vector is identical however replications are
     // scheduled and repeated candidates collapse to one report.
-    outcome.races.sort();
-    outcome.races.dedup();
+    vm.races.sort();
+    vm.races.dedup();
 
-    let finish_times = outcome.clocks;
+    let finish_times: Vec<f64> = vm.procs.iter().map(|p| p.clock).collect();
     let makespan = finish_times.iter().cloned().fold(0.0, f64::max);
 
     // Materialise the label-keyed loss report from the slot accumulators.
     let mut loss_by_label: HashMap<String, f64> = HashMap::new();
-    for (i, name) in setup.lowered.labels.list().iter().enumerate() {
-        if outcome.loss_touched[i] {
-            loss_by_label.insert(name.clone(), outcome.loss[i]);
+    for (i, name) in lowered.labels.list().iter().enumerate() {
+        if vm.loss_touched[i] {
+            loss_by_label.insert(name.clone(), vm.loss[i]);
         }
     }
 
@@ -893,49 +727,31 @@ pub(crate) fn finish_prediction(
     // keeps the per-event hot path down to the phase/histogram hooks).
     if let Some(registry) = &cfg.metrics {
         registry.counter("vm.evaluations").inc();
-        registry.counter("vm.steps").add(outcome.steps);
-        registry.counter("vm.messages").add(outcome.messages);
-        registry.counter("vm.races").add(outcome.races.len() as u64);
+        registry.counter("vm.steps").add(vm.steps);
+        registry.counter("vm.messages").add(vm.messages);
+        registry.counter("vm.races").add(vm.races.len() as u64);
         registry
             .histogram("vm.sb_peak", 0.0, CONTENTION_BINS as f64, CONTENTION_BINS)
-            .record(outcome.sb_peak as f64);
+            .record(vm.sb_peak as f64);
         for (label, loss) in &loss_by_label {
             registry.gauge(&format!("vm.loss_secs.{label}")).add(*loss);
         }
     }
 
-    Prediction {
+    Ok(Prediction {
         nprocs: cfg.nprocs,
         makespan,
-        compute_time: outcome.compute_time,
-        send_time: outcome.send_time,
-        blocked_time: outcome.blocked_time,
+        compute_time: vm.procs.iter().map(|p| p.compute_time).collect(),
+        send_time: vm.procs.iter().map(|p| p.send_time).collect(),
+        blocked_time: vm.procs.iter().map(|p| p.blocked_time).collect(),
         finish_times,
-        messages: outcome.messages,
+        messages: vm.messages,
         loss_by_label,
-        races: outcome.races,
-        steps: outcome.steps,
-        sb_peak: outcome.sb_peak,
-        timeline: outcome.timeline.unwrap_or_default(),
-    }
-}
-
-/// Evaluate a model: the public entry point of the PEVPM engine.
-///
-/// With [`EvalConfig::eval_threads`] `== 0` (the default) this is the
-/// classic serial sweep/match evaluation; `>= 1` routes through the
-/// SCC/DAG component scheduler in [`crate::dag`].
-pub fn evaluate(
-    model: &Model,
-    cfg: &EvalConfig,
-    timing: &TimingModel,
-) -> Result<Prediction, PevpmError> {
-    if cfg.eval_threads > 0 {
-        return crate::dag::evaluate_dag(model, cfg, timing);
-    }
-    let setup = prepare(model, cfg)?;
-    let outcome = run_lowered(&setup, cfg, timing, cfg.seed, None, &[])?;
-    Ok(finish_prediction(&setup, cfg, outcome))
+        races: vm.races,
+        steps: vm.steps,
+        sb_peak: vm.sb_peak,
+        timeline: vm.timeline.take().unwrap_or_default(),
+    })
 }
 
 /// Aggregate of several independent Monte-Carlo evaluations.
@@ -1013,38 +829,90 @@ impl McPrediction {
 /// statistical error in the mean is negligibly small." For programs that
 /// are not internally iterative, independent replications serve the same
 /// purpose; `stderr` quantifies the remaining statistical error.
+///
+/// There is one replication loop. Replications run in deterministic seed
+/// order, in chunks sized to the worker pool, between a floor and a
+/// ceiling:
+///
+/// - **Fixed count** ([`EvalConfig::adaptive`] unset): floor = ceiling =
+///   `replications` and no stopping test, so the first chunk is the whole
+///   batch.
+/// - **Adaptive** (`Some(policy)`): floor and ceiling are the policy's
+///   `min_reps`/`max_reps` (the `replications` argument is ignored), and
+///   the batch stops at the first `n >= min_reps` whose successful-makespan
+///   prefix meets the precision target. Overshoot computed past that index
+///   is discarded, so the chosen count, the surviving runs and the
+///   aggregate are invariant to thread count and chunk width. Failed
+///   replications contribute no sample but still count toward `max_reps`.
+///
+/// Replica `i` is seeded from `(cfg.seed, i)` alone and results are
+/// collected in index order, so the aggregate is bitwise identical to a
+/// serial loop at any `threads`, and an adaptive run is a prefix of the
+/// fixed batch. Each replication runs panic-isolated: a worker that
+/// panics (bad timing table, hostile model) is recorded as a failure, not
+/// a process abort.
 pub fn monte_carlo(
     model: &Model,
     cfg: &EvalConfig,
     timing: &TimingModel,
     replications: usize,
 ) -> Result<McPrediction, PevpmError> {
-    if cfg.adaptive.is_some() {
-        return monte_carlo_adaptive(model, cfg, timing);
-    }
-    assert!(replications > 0, "need at least one replication");
+    let (floor, ceiling) = match &cfg.adaptive {
+        Some(policy) => {
+            policy.validate().map_err(PevpmError::Config)?;
+            (policy.min_reps, policy.max_reps)
+        }
+        None if replications == 0 => {
+            return Err(PevpmError::Config(
+                "need at least one replication".to_string(),
+            ))
+        }
+        None => (replications, replications),
+    };
     let start = std::time::Instant::now();
-    // Replica i is seeded from (cfg.seed, i) alone, so fanning the batch
-    // across threads cannot change any replica's result; collection is in
-    // index order, so the aggregate is bitwise identical to a serial loop.
-    // Each replication runs panic-isolated: a worker that panics (bad
-    // timing table, hostile model) is recorded as a failure, not a
-    // process abort.
-    // Nested parallelism shares one worker budget: the outer pool keeps
-    // the requested `threads` width and each replica's DAG scheduler gets
-    // the per-job share, so `threads × eval_threads` never oversubscribes
-    // the host. The cap is result-neutral — DAG predictions are bitwise
-    // identical at any eval-thread count >= 1.
-    let budget = crate::replicate::ThreadBudget::from_host();
-    let outer = budget.outer(cfg.threads, replications);
-    let inner_eval = budget.inner(outer, cfg.eval_threads);
-    let (outcomes, profile) =
-        crate::replicate::isolated_map_profiled(replications, cfg.threads, |i| {
-            evaluate(model, &replica_cfg(cfg, i, inner_eval), timing)
-        });
+    let pool = crate::replicate::resolve_threads(cfg.threads).min(ceiling);
+
+    let mut outcomes: Vec<Result<Prediction, crate::replicate::JobError<PevpmError>>> = Vec::new();
+    let mut stream = pevpm_dist::Summary::new();
+    let mut profile = crate::replicate::ReplicateProfile::default();
+    let mut chosen: Option<usize> = None;
+    while chosen.is_none() && outcomes.len() < ceiling {
+        // The first chunk covers the floor; later chunks keep the pool
+        // full. Chunk width only controls how much overshoot may be
+        // computed and discarded — never the stopping index.
+        let want = if outcomes.is_empty() {
+            floor.max(pool)
+        } else {
+            pool
+        };
+        let chunk = want.min(ceiling - outcomes.len());
+        let base_index = outcomes.len();
+        let (chunk_out, chunk_profile) =
+            crate::replicate::isolated_map_profiled(chunk, cfg.threads, |j| {
+                evaluate(model, &replica_cfg(cfg, base_index + j), timing)
+            });
+        profile.workers.extend(chunk_profile.workers);
+        profile.wall_secs += chunk_profile.wall_secs;
+        for out in chunk_out {
+            if let Ok(p) = &out {
+                stream.add(p.makespan);
+            }
+            outcomes.push(out);
+            let n = outcomes.len();
+            if let Some(policy) = &cfg.adaptive {
+                if n >= floor && stopping_satisfied(policy, &stream) {
+                    chosen = Some(n);
+                    break; // overshoot beyond the stopping index is discarded
+                }
+            }
+        }
+    }
+    let attempted = outcomes.len();
+    let reps_run = chosen.unwrap_or(outcomes.len());
+    outcomes.truncate(reps_run);
     let wall_secs = start.elapsed().as_secs_f64();
 
-    let mut runs: Vec<Prediction> = Vec::with_capacity(replications);
+    let mut runs: Vec<Prediction> = Vec::with_capacity(reps_run);
     let mut failures: Vec<(usize, String)> = Vec::new();
     let mut first_failure: Option<PevpmError> = None;
     for (i, outcome) in outcomes.into_iter().enumerate() {
@@ -1059,10 +927,12 @@ pub fn monte_carlo(
         }
     }
 
-    // k-of-n quorum: with `quorum: None` every replication must succeed
-    // (the historical contract) and the lowest-index failure is returned —
-    // exactly what a serial loop would have reported first.
-    let required = cfg.quorum.unwrap_or(replications).clamp(1, replications);
+    // k-of-n quorum over the replications actually run: with `quorum:
+    // None` every one must succeed and the lowest-index failure is
+    // returned — exactly what a serial loop would have reported first.
+    // `k` is clamped so `k > reps_run` cannot make an early-stopped batch
+    // unsatisfiable.
+    let required = cfg.quorum.unwrap_or(reps_run).clamp(1, reps_run);
     if let Some(first) = first_failure {
         if runs.len() < required {
             if cfg.quorum.is_none() {
@@ -1071,7 +941,7 @@ pub fn monte_carlo(
             return Err(PevpmError::QuorumFailed {
                 succeeded: runs.len(),
                 required,
-                total: replications,
+                total: reps_run,
                 first_failure: Box::new(first),
             });
         }
@@ -1081,6 +951,20 @@ pub fn monte_carlo(
     for p in &runs {
         makespans.add(p.makespan);
     }
+    let adaptive = cfg.adaptive.map(|policy| {
+        let xs: Vec<f64> = runs.iter().map(|p| p.makespan).collect();
+        crate::stats::AdaptiveReport {
+            precision: policy.precision,
+            confidence: policy.confidence,
+            min_reps: policy.min_reps,
+            max_reps: policy.max_reps,
+            reps: reps_run,
+            rel_half_width: crate::stats::rel_half_width(&makespans, policy.confidence)
+                .unwrap_or(f64::INFINITY),
+            converged: chosen.is_some(),
+            drift: crate::stats::detect_drift(&xs, crate::stats::DRIFT_ALPHA),
+        }
+    });
     Ok(McPrediction {
         mean: makespans.mean().unwrap_or(0.0),
         stderr: makespans.stderr_mean().unwrap_or(0.0),
@@ -1089,22 +973,22 @@ pub fn monte_carlo(
         makespans,
         wall_secs,
         evals_per_sec: if wall_secs > 0.0 {
-            replications as f64 / wall_secs
+            attempted as f64 / wall_secs
         } else {
             0.0
         },
         profile,
         runs,
         failures,
-        adaptive: None,
+        adaptive,
     })
 }
 
-/// Per-replica configuration: derived seed, the per-job eval-thread
-/// share, and — under [`EvalConfig::antithetic`] — the paired seed with
-/// the mirror flag on odd replicas. Independent seeding is byte-for-byte
-/// the historical `base + i` derivation.
-fn replica_cfg(cfg: &EvalConfig, i: usize, inner_eval: usize) -> EvalConfig {
+/// Per-replica configuration: derived seed and — under
+/// [`EvalConfig::antithetic`] — the paired seed with the mirror flag on
+/// odd replicas. Independent seeding is byte-for-byte the historical
+/// `base + i` derivation.
+fn replica_cfg(cfg: &EvalConfig, i: usize) -> EvalConfig {
     let mut c = cfg.clone();
     if cfg.antithetic {
         c.seed = crate::replicate::replica_seed(cfg.seed, (i / 2) as u64);
@@ -1112,7 +996,6 @@ fn replica_cfg(cfg: &EvalConfig, i: usize, inner_eval: usize) -> EvalConfig {
     } else {
         c.seed = crate::replicate::replica_seed(cfg.seed, i as u64);
     }
-    c.eval_threads = inner_eval;
     c
 }
 
@@ -1135,11 +1018,11 @@ fn stopping_satisfied(policy: &crate::stats::AdaptivePolicy, s: &pevpm_dist::Sum
     policy.satisfied(s)
 }
 
-/// Divergence drill hook (compile-time, like the DAG seed rotation): the
-/// injected engine believes it has one more degree of freedom than it
-/// does, which makes the half-width test too permissive — the adaptive
-/// oracle must catch the resulting early stop as a divergence from the
-/// reference [`crate::stats::AdaptivePolicy::stop_point`].
+/// Divergence drill hook (compile-time): the injected engine believes it
+/// has one more degree of freedom than it does, which makes the
+/// half-width test too permissive — the adaptive oracle must catch the
+/// resulting early stop as a divergence from the reference
+/// [`crate::stats::AdaptivePolicy::stop_point`].
 #[cfg(feature = "divergence-injection")]
 fn stopping_satisfied(policy: &crate::stats::AdaptivePolicy, s: &pevpm_dist::Summary) -> bool {
     let (Some(mean), Some(var)) = (s.mean(), s.sample_variance()) else {
@@ -1150,138 +1033,6 @@ fn stopping_satisfied(policy: &crate::stats::AdaptivePolicy, s: &pevpm_dist::Sum
     }
     let hw = crate::stats::ci_half_width(s.count() + 1, var.sqrt(), policy.confidence);
     hw / mean.abs() <= policy.precision
-}
-
-/// Adaptive Monte-Carlo: run replications in deterministic seed order
-/// until [`EvalConfig::adaptive`]'s precision target is met.
-///
-/// The stopping decision folds successful makespans over *prefixes in
-/// replication-index order*: the chosen count is the first
-/// `n >= min_reps` whose prefix satisfies the rule, else `max_reps`.
-/// Replications are computed in chunks sized to the worker pool, and any
-/// overshoot past the stopping index is discarded — so the chosen count,
-/// the surviving runs, and therefore the aggregate are all invariant to
-/// thread count and chunk width, and bitwise reproducible for a given
-/// (seed, policy). Failed replications contribute no sample but still
-/// count toward `max_reps` attempts.
-fn monte_carlo_adaptive(
-    model: &Model,
-    cfg: &EvalConfig,
-    timing: &TimingModel,
-) -> Result<McPrediction, PevpmError> {
-    let policy = cfg.adaptive.expect("adaptive policy checked by caller");
-    policy.validate().map_err(PevpmError::Config)?;
-    let start = std::time::Instant::now();
-    let budget = crate::replicate::ThreadBudget::from_host();
-    let outer = budget.outer(cfg.threads, policy.max_reps);
-    let inner_eval = budget.inner(outer, cfg.eval_threads);
-
-    let mut outcomes: Vec<Result<Prediction, crate::replicate::JobError<PevpmError>>> = Vec::new();
-    let mut stream = pevpm_dist::Summary::new();
-    let mut workers: Vec<crate::replicate::WorkerStat> = Vec::new();
-    let mut attempted = 0usize;
-    let mut chosen: Option<usize> = None;
-    while chosen.is_none() && outcomes.len() < policy.max_reps {
-        // First chunk covers the replication floor; later chunks keep the
-        // pool full. Chunk width only controls how much overshoot may be
-        // computed and discarded — never the stopping index.
-        let want = if outcomes.is_empty() {
-            policy.min_reps.max(outer)
-        } else {
-            outer.max(1)
-        };
-        let chunk = want.min(policy.max_reps - outcomes.len());
-        let base_index = outcomes.len();
-        let (chunk_out, chunk_profile) =
-            crate::replicate::isolated_map_profiled(chunk, cfg.threads, |j| {
-                evaluate(model, &replica_cfg(cfg, base_index + j, inner_eval), timing)
-            });
-        workers.extend(chunk_profile.workers);
-        attempted += chunk;
-        for out in chunk_out {
-            if let Ok(p) = &out {
-                stream.add(p.makespan);
-            }
-            outcomes.push(out);
-            let n = outcomes.len();
-            if n >= policy.min_reps && stopping_satisfied(&policy, &stream) {
-                chosen = Some(n);
-                break; // overshoot beyond the stopping index is discarded
-            }
-        }
-    }
-    let reps_run = chosen.unwrap_or(outcomes.len());
-    outcomes.truncate(reps_run);
-    let wall_secs = start.elapsed().as_secs_f64();
-
-    let mut runs: Vec<Prediction> = Vec::with_capacity(reps_run);
-    let mut failures: Vec<(usize, String)> = Vec::new();
-    let mut first_failure: Option<PevpmError> = None;
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok(p) => runs.push(p),
-            Err(job_err) => {
-                failures.push((i, job_err.to_string()));
-                if first_failure.is_none() {
-                    first_failure = Some(job_error_to_pevpm(job_err, i));
-                }
-            }
-        }
-    }
-
-    // Quorum counts the replications actually run, not the ceiling a
-    // fixed-reps caller would have named: `k` of the `reps_run` attempts
-    // must have succeeded (clamped so `k > reps_run` cannot make an
-    // early-stopped batch unsatisfiable).
-    let required = cfg.quorum.unwrap_or(reps_run).clamp(1, reps_run);
-    if let Some(first) = first_failure {
-        if runs.len() < required {
-            if cfg.quorum.is_none() {
-                return Err(first);
-            }
-            return Err(PevpmError::QuorumFailed {
-                succeeded: runs.len(),
-                required,
-                total: reps_run,
-                first_failure: Box::new(first),
-            });
-        }
-    }
-
-    let mut makespans = pevpm_dist::Summary::new();
-    let mut stream_xs: Vec<f64> = Vec::with_capacity(runs.len());
-    for p in &runs {
-        makespans.add(p.makespan);
-        stream_xs.push(p.makespan);
-    }
-    let report = crate::stats::AdaptiveReport {
-        precision: policy.precision,
-        confidence: policy.confidence,
-        min_reps: policy.min_reps,
-        max_reps: policy.max_reps,
-        reps: reps_run,
-        rel_half_width: crate::stats::rel_half_width(&makespans, policy.confidence)
-            .unwrap_or(f64::INFINITY),
-        converged: chosen.is_some(),
-        drift: crate::stats::detect_drift(&stream_xs, crate::stats::DRIFT_ALPHA),
-    };
-    Ok(McPrediction {
-        mean: makespans.mean().unwrap_or(0.0),
-        stderr: makespans.stderr_mean().unwrap_or(0.0),
-        min: makespans.min().unwrap_or(0.0),
-        max: makespans.max().unwrap_or(0.0),
-        makespans,
-        wall_secs,
-        evals_per_sec: if wall_secs > 0.0 {
-            attempted as f64 / wall_secs
-        } else {
-            0.0
-        },
-        profile: crate::replicate::ReplicateProfile { workers, wall_secs },
-        runs,
-        failures,
-        adaptive: Some(report),
-    })
 }
 
 impl<'m> Vm<'m> {
@@ -2342,6 +2093,17 @@ mod tests {
         let mc = monte_carlo(&m, &EvalConfig::new(2), &fixed_timing(0.0), 5).unwrap();
         assert_eq!(mc.stderr, 0.0);
         assert_eq!(mc.min, mc.max);
+    }
+
+    #[test]
+    fn monte_carlo_with_zero_replications_is_a_config_error() {
+        let m = Model::new().with_stmt(serial("1.0"));
+        let err = monte_carlo(&m, &EvalConfig::new(2), &fixed_timing(0.0), 0).unwrap_err();
+        assert!(matches!(err, PevpmError::Config(_)), "got {err}");
+        // A single replication is a valid fixed batch.
+        let mc = monte_carlo(&m, &EvalConfig::new(2), &fixed_timing(0.0), 1).unwrap();
+        assert_eq!(mc.runs.len(), 1);
+        assert!(mc.adaptive.is_none());
     }
 
     #[test]

@@ -323,9 +323,6 @@ pub fn predict_body(table: &str, req: &PredictRequest) -> String {
     if req.threads != 0 {
         out.push_str(&format!(",\"threads\":{}", req.threads));
     }
-    if req.eval_threads != 0 {
-        out.push_str(&format!(",\"eval_threads\":{}", req.eval_threads));
-    }
     if let Some(q) = req.quorum {
         out.push_str(&format!(",\"quorum\":{q}"));
     }

@@ -122,10 +122,6 @@ pub struct PredictRequest {
     /// Worker threads (0 = all cores, 1 = serial); results are bitwise
     /// identical at any setting.
     pub threads: usize,
-    /// Intra-evaluation DAG workers (0 = classic serial engine, >= 1 =
-    /// SCC/DAG component scheduling); predictions are bitwise identical
-    /// at every value >= 1. Shares the host core budget with `threads`.
-    pub eval_threads: usize,
     /// k-of-n quorum: accept the batch when at least k replications
     /// succeed.
     pub quorum: Option<usize>,
@@ -161,7 +157,6 @@ impl PredictRequest {
             seed: 1,
             reps: 1,
             threads: 0,
-            eval_threads: 0,
             quorum: None,
             max_steps: None,
             max_virtual_secs: None,
@@ -194,8 +189,7 @@ impl PredictRequest {
         }
         let mut cfg = EvalConfig::new(self.procs)
             .with_seed(self.seed)
-            .with_threads(self.threads)
-            .with_eval_threads(self.eval_threads);
+            .with_threads(self.threads);
         for (k, v) in &self.params {
             cfg = cfg.with_param(k, *v);
         }

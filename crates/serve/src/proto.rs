@@ -294,9 +294,6 @@ pub fn parse_predict_body(v: &Json) -> Result<(String, PredictRequest), PlanErro
     if let Some(threads) = usize_field(v, "threads")? {
         req.threads = threads;
     }
-    if let Some(eval_threads) = usize_field(v, "eval_threads")? {
-        req.eval_threads = eval_threads;
-    }
     req.quorum = usize_field(v, "quorum")?;
     req.precision = match v.get("precision") {
         None | Some(Json::Null) => None,

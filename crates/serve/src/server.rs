@@ -8,9 +8,8 @@
 //! stay deterministic anyway — every answer depends only on the request
 //! (plus the preloaded tables), never on arrival order or neighbouring
 //! connections — so concurrency changes wall-clock, not bytes.
-//! Evaluation parallelism composes through [`pevpm::ThreadBudget`]:
-//! each connection's replication pool gets the per-connection share of
-//! the host, so `conns × reps-pool × eval-threads` never oversubscribes.
+//! Each connection's replication pool gets the per-connection share of
+//! the host's cores, so `conns × reps-pool` never oversubscribes.
 //!
 //! Degraded operation is deliberate and observable, in four layers:
 //!
@@ -107,13 +106,6 @@ pub struct ServeConfig {
     /// Worker threads for batch fan-out and Monte-Carlo replication
     /// (0 = all cores).
     pub threads: usize,
-    /// Default intra-evaluation DAG worker count applied to requests that
-    /// don't set `eval_threads` themselves (0 = classic serial engine).
-    /// Shares the host core budget with `threads`: batch items and
-    /// replications get the per-job share, so the fan-out × eval product
-    /// never oversubscribes. Predictions are bitwise identical at every
-    /// value >= 1.
-    pub eval_threads: usize,
     /// Admission control: refuse requests asking for more replications
     /// than this (0 = unlimited).
     pub max_reps: usize,
@@ -161,7 +153,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             tables: Vec::new(),
             threads: 0,
-            eval_threads: 0,
             max_reps: 0,
             max_steps: None,
             max_virtual_secs: None,
@@ -551,15 +542,13 @@ impl Server {
             cfg.conns
         };
         // Each concurrently-served request gets the per-connection share
-        // of the host budget for its replication pool, so the product
-        // `conns × reps-pool × eval-threads` never oversubscribes. With a
-        // single worker the serial behavior (and `cfg.threads`) is kept
-        // verbatim.
+        // of the host's cores for its replication pool (at least one), so
+        // `conns × reps-pool` never oversubscribes. With a single worker
+        // the serial behavior (and `cfg.threads`) is kept verbatim.
         let request_threads = if conns <= 1 {
             cfg.threads
         } else {
-            let budget = pevpm::ThreadBudget::new(cfg.threads);
-            budget.inner(conns, budget.total()).max(1)
+            (pevpm::replicate::resolve_threads(cfg.threads) / conns).max(1)
         };
         let max_inflight = if cfg.inflight == 0 {
             conns
@@ -970,11 +959,6 @@ impl Server {
         // equal the number of predictions served.
         let mut frame_timer = self.telemetry.begin("batch", false);
         let pool_job_ms = self.registry.histogram("serve.pool.job_ms", 0.0, 250.0, 50);
-        // Each concurrent item gets the per-slot share of the host budget
-        // for its DAG scheduler — `pool width × eval-threads` stays within
-        // the budget, and capping cannot change an answer.
-        let budget = pevpm::ThreadBudget::from_host();
-        let pool_width = budget.outer(self.request_threads, items.len());
         let (slots, _profile) = frame_timer.stage("fanout", || {
             isolated_map_observed(
                 items.len(),
@@ -984,12 +968,6 @@ impl Server {
                     let mut item_timer = self.telemetry.begin("batch-item", true);
                     let mut req = req.clone();
                     req.threads = 1;
-                    let requested_eval = if req.eval_threads == 0 {
-                        self.cfg.eval_threads
-                    } else {
-                        req.eval_threads
-                    };
-                    req.eval_threads = budget.inner(pool_width, requested_eval);
                     match self.predict_guarded(table, &req, 1, &mut item_timer) {
                         Ok(result) => {
                             item_timer.finish("ok", result.len());
@@ -1121,11 +1099,6 @@ impl Server {
             // for; a request axis the server also caps takes the minimum.
             let mut req = req.clone();
             req.threads = threads;
-            // The daemon default applies when the request doesn't choose;
-            // replication nesting is budgeted inside `monte_carlo`.
-            if req.eval_threads == 0 {
-                req.eval_threads = self.cfg.eval_threads;
-            }
             if let Some(cap) = self.cfg.max_steps {
                 req.max_steps = Some(req.max_steps.map_or(cap, |n| n.min(cap)));
             }
@@ -1139,8 +1112,8 @@ impl Server {
                 let cap = self.cfg.max_reps;
                 req.max_reps = Some(req.max_reps.map_or(cap, |n| n.min(cap)));
             }
-            // Engine and DAG-scheduler metrics (vm.*, dag.*) land in the
-            // daemon registry, surfacing through `stats` and /metrics.
+            // Engine metrics (vm.*) land in the daemon registry, surfacing
+            // through `stats` and /metrics.
             let cfg = req
                 .eval_config()?
                 .with_metrics(Arc::clone(self.telemetry.registry()));

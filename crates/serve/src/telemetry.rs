@@ -500,6 +500,43 @@ mod tests {
     use super::*;
     use pevpm_obs::json::{self, Json};
 
+    /// A scratch directory private to one test (named after the process
+    /// and the test thread), removed when dropped, so parallel tests and
+    /// concurrent test processes never share one.
+    struct TmpDir(std::path::PathBuf);
+
+    impl std::ops::Deref for TmpDir {
+        type Target = std::path::Path;
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<std::path::Path> for TmpDir {
+        fn as_ref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
+    fn tmpdir() -> TmpDir {
+        let test = std::thread::current()
+            .name()
+            .unwrap_or("unnamed")
+            .replace(|c: char| !c.is_ascii_alphanumeric(), "_");
+        let d = std::env::temp_dir().join(format!(
+            "pevpm_telemetry_test_{}_{test}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&d).unwrap();
+        TmpDir(d)
+    }
+
     fn hub() -> Telemetry {
         Telemetry::new(Arc::new(Registry::new()), 4, None, None).unwrap()
     }
@@ -607,8 +644,7 @@ mod tests {
 
     #[test]
     fn slow_log_threshold_filters_fast_requests() {
-        let dir = std::env::temp_dir().join(format!("pevpm-telemetry-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir();
         let path = dir.join("req.log");
         let t =
             Telemetry::new(Arc::new(Registry::new()), 8, Some(&path), Some(1_000_000.0)).unwrap();

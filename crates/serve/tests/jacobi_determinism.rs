@@ -13,6 +13,7 @@ use pevpm_bench::fig6;
 use pevpm_dist::DistTable;
 use pevpm_mpibench::MachineShape;
 use pevpm_obs::json::{self, Json};
+use pevpm_serve::client::predict_frame;
 use pevpm_serve::plan::{self, EvalOutcome, PredictRequest};
 use pevpm_serve::{Client, ServeConfig, Server};
 use std::net::SocketAddr;
@@ -254,87 +255,27 @@ fn daemon_replay_is_bitwise_identical_to_oneshot() {
     handle.join().expect("daemon thread");
 }
 
-/// `--eval-threads` invariance through the whole service path: the DAG
-/// scheduler must return bitwise the serial prediction at every worker
-/// count (Jacobi's halo chain is one SCC, so the component run *is* the
-/// serial run), and a daemon configured with an eval-threads default must
-/// answer identically to one without.
+/// A field older clients still send: the per-request worker count of the
+/// retired intra-evaluation scheduler.
+const RETIRED_FIELD: &str = "\"eval_threads\":8";
+
+/// Frames from clients that still carry [`RETIRED_FIELD`] are answered
+/// exactly like the same frame without it: the daemon ignores the field
+/// like any other unknown one.
 #[test]
-fn eval_threads_is_bitwise_invariant_through_daemon_and_oneshot() {
+fn retired_field_from_old_clients_is_ignored() {
     let shape = MachineShape { nodes: 4, ppn: 1 };
     let table = jacobi_table(shape, 10);
-    let base_req = jacobi_request(4, 20, 8);
-    let expected = oneshot_mean(&table, &base_req);
+    let req = jacobi_request(4, 20, 8);
+    let frame = predict_frame("r", "default", &req);
+    let legacy = format!("{},{RETIRED_FIELD}}}", &frame[..frame.len() - 1]);
 
-    // One-shot plan layer, each eval-threads value.
-    for eval_threads in [1usize, 2, 8] {
-        let mut req = base_req.clone();
-        req.eval_threads = eval_threads;
-        let got = oneshot_mean(&table, &req);
-        assert_eq!(
-            got.to_bits(),
-            expected.to_bits(),
-            "one-shot mean diverged at eval-threads={eval_threads}"
-        );
-    }
-
-    // Daemon with a server-side eval-threads default: identical bytes to
-    // the request's own answer, and the DAG metrics are exported.
-    let server = Server::with_tables(
-        ServeConfig {
-            eval_threads: 2,
-            ..ServeConfig::default()
-        },
-        vec![("default".to_string(), table)],
-    )
-    .expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || server.run().expect("daemon run"));
+    let (addr, handle) = start_daemon(table);
     let mut client = Client::connect(&addr.to_string()).expect("connect");
-
-    let default_resp = client.predict("d", "default", &base_req).expect("default");
-    assert_eq!(
-        mean_of(&parse_ok(&default_resp)).to_bits(),
-        expected.to_bits(),
-        "daemon eval-threads default changed the prediction"
-    );
-    for eval_threads in [1usize, 2, 8] {
-        let mut req = base_req.clone();
-        req.eval_threads = eval_threads;
-        let resp = client.predict("e", "default", &req).expect("predict");
-        assert_eq!(
-            mean_of(&parse_ok(&resp)).to_bits(),
-            expected.to_bits(),
-            "daemon diverged at eval_threads={eval_threads}"
-        );
-    }
-    // Batched items run under the shared thread budget; same answer.
-    let mut batch_req = base_req.clone();
-    batch_req.eval_threads = 8;
-    let batch = client
-        .batch("b", &[("default".to_string(), batch_req)])
-        .expect("batch");
-    let slots = parse_ok(&batch);
-    let slot = &slots.as_array().expect("array")[0];
-    assert_eq!(slot.get("ok").and_then(Json::as_bool), Some(true));
-    assert_eq!(
-        mean_of(slot.get("result").expect("result")).to_bits(),
-        expected.to_bits(),
-        "batched eval-threads item diverged"
-    );
-
-    // Scheduler telemetry reaches the `stats` op (and with it the
-    // /metrics sidecar, which renders the same registry).
-    let stats = client.stats("s").expect("stats");
-    let counters = parse_ok(&stats).get("counters").expect("counters").clone();
-    let dag_evals = counters
-        .get("dag.evaluations")
-        .and_then(Json::as_num)
-        .unwrap_or(0.0);
-    assert!(
-        dag_evals > 0.0,
-        "dag.evaluations missing from stats: {counters:?}"
-    );
+    let plain = client.request(&frame).expect("plain frame");
+    let with_field = client.request(&legacy).expect("legacy frame");
+    parse_ok(&plain);
+    assert_eq!(plain, with_field, "the retired field changed the response");
 
     client.shutdown("bye").expect("shutdown");
     handle.join().expect("daemon thread");
@@ -358,19 +299,7 @@ fn daemon_reproduces_the_64x2_jacobi_baseline() {
         "one-shot plan evaluation lost the baseline: got {expected:?}"
     );
 
-    // The acceptance anchor for intra-evaluation parallelism: the 64x2
-    // prediction is bitwise the baseline at every --eval-threads value.
-    for eval_threads in [1usize, 2, 8] {
-        let mut r = req.clone();
-        r.eval_threads = eval_threads;
-        let got = oneshot_mean(&table, &r);
-        assert_eq!(
-            got.to_bits(),
-            BASELINE_64X2.to_bits(),
-            "64x2 baseline lost at eval-threads={eval_threads}: got {got:?}"
-        );
-    }
-
+    // The same request through a `--conns 8` daemon, cold and warm.
     let (addr, handle) = start_daemon(table);
     let mut client = Client::connect(&addr.to_string()).expect("connect");
     let cold = client.predict("r", "default", &req).expect("cold");

@@ -8,8 +8,8 @@
 
 use crate::gen::{generate, GenConfig};
 use crate::oracle::{
-    check_adaptive, check_dag, check_diagnostics, check_differential, check_fault_identity,
-    check_ks, check_scaling, Failure,
+    check_adaptive, check_diagnostics, check_differential, check_fault_identity, check_ks,
+    check_scaling, Failure,
 };
 use crate::program::TestProgram;
 use crate::report::Counterexample;
@@ -30,9 +30,6 @@ pub enum Mode {
     Ks,
     /// Deadlock/budget diagnostics on maybe-deadlocking programs.
     Diagnostics,
-    /// Bitwise thread-count invariance of the DAG scheduler (and serial
-    /// agreement when the decomposition stands down).
-    Dag,
     /// Adaptive sequential stopping against the reference rule:
     /// determinism, fixed-prefix truncation, and CI agreement with the
     /// full fixed batch.
@@ -47,7 +44,6 @@ impl Mode {
             Mode::Metamorphic => "metamorphic",
             Mode::Ks => "ks",
             Mode::Diagnostics => "diagnostics",
-            Mode::Dag => "dag",
             Mode::Adaptive => "adaptive",
         }
     }
@@ -59,19 +55,17 @@ impl Mode {
             "metamorphic" => Some(Mode::Metamorphic),
             "ks" => Some(Mode::Ks),
             "diagnostics" => Some(Mode::Diagnostics),
-            "dag" => Some(Mode::Dag),
             "adaptive" => Some(Mode::Adaptive),
             _ => None,
         }
     }
 
     /// All modes, in reporting order.
-    pub const ALL: [Mode; 6] = [
+    pub const ALL: [Mode; 5] = [
         Mode::Differential,
         Mode::Metamorphic,
         Mode::Ks,
         Mode::Diagnostics,
-        Mode::Dag,
         Mode::Adaptive,
     ];
 }
@@ -177,13 +171,6 @@ fn mode_setup(mode: Mode, seed: u64, bench_reps: usize) -> (GenConfig, DistTable
             let table = synthetic_table(&with_doubles(&cfg.sizes), seed);
             (cfg, table)
         }
-        Mode::Dag => {
-            // The differential corpus: deadlock-free, wildcard-heavy,
-            // multi-process — the right stressor for component matching.
-            let cfg = GenConfig::differential();
-            let table = synthetic_table(&with_doubles(&cfg.sizes), seed);
-            (cfg, table)
-        }
         Mode::Adaptive => {
             let cfg = GenConfig::adaptive();
             let table = synthetic_table(&with_doubles(&cfg.sizes), seed);
@@ -243,7 +230,6 @@ fn check(
             .map(|_| ())
         }
         Mode::Diagnostics => check_diagnostics(prog, table, seed),
-        Mode::Dag => check_dag(prog, table, seed, cfg.replications),
         Mode::Adaptive => check_adaptive(prog, table, seed),
     }
 }
@@ -315,17 +301,6 @@ mod tests {
         assert!(res.passed(), "{:?}", res.failures);
         assert_eq!(res.programs, 5);
         assert!(res.directives > 0);
-    }
-
-    #[test]
-    fn small_dag_campaign_passes() {
-        let cfg = CampaignConfig {
-            mode: Mode::Dag,
-            programs: 5,
-            ..CampaignConfig::default()
-        };
-        let res = run_campaign(&cfg);
-        assert!(res.passed(), "{:?}", res.failures);
     }
 
     #[test]

@@ -235,106 +235,6 @@ pub fn check_differential(
     Ok(())
 }
 
-/// Worker counts the DAG oracle sweeps. 1 exercises the scheduler with
-/// no concurrency, 2 the smallest concurrent shape, 8 more workers than
-/// most generated programs have components (idle-worker paths).
-pub const DAG_THREADS: [(&str, usize); 3] = [("dag-t1", 1), ("dag-t2", 2), ("dag-t8", 8)];
-
-/// Oracle 5 — the DAG scheduler must agree with itself bitwise at every
-/// worker count, and reproduce the serial engine exactly whenever the
-/// decomposition stands down (single component, or an analysis fallback).
-///
-/// Evaluation *errors* are part of the contract too: every path must
-/// reach the same disposition, and failing paths must report the same
-/// error — a thread count must never change what diagnostic a program
-/// produces.
-pub fn check_dag(
-    prog: &TestProgram,
-    table: &DistTable,
-    seed: u64,
-    replications: usize,
-) -> Result<(), Failure> {
-    let model = prog.to_model();
-    let timing = TimingModel::distributions(table.clone());
-    // Whether the decomposition stands down for this program: then the
-    // DAG path is documented to be bitwise the serial engine, not just
-    // thread-invariant. (A plan error means evaluation errors too; the
-    // disposition check below covers it.)
-    let plan_cfg = EvalConfig::new(prog.nprocs).with_seed(seed);
-    let stands_down = pevpm::dag::plan(&model, &plan_cfg)
-        .map(|p| p.components <= 1 || p.fallback.is_some())
-        .unwrap_or(false);
-    for r in 0..replications {
-        let cfg = EvalConfig::new(prog.nprocs).with_seed(replica_seed(seed, r as u64));
-        let serial = evaluate(&model, &cfg, &timing);
-        let runs: Vec<(&'static str, Result<Prediction, PevpmError>)> = DAG_THREADS
-            .iter()
-            .map(|&(name, t)| {
-                let c = cfg.clone().with_eval_threads(t);
-                (name, evaluate(&model, &c, &timing))
-            })
-            .collect();
-        let disposition = |res: &Result<Prediction, PevpmError>| match res {
-            Ok(_) => String::new(),
-            Err(e) => format!("{e:?}"),
-        };
-        let error_diff =
-            |left: &'static str, right: &'static str, lv: &str, rv: &str| Failure::Differential {
-                left,
-                right,
-                replication: r,
-                field: "error".into(),
-                left_value: if lv.is_empty() {
-                    "ok".into()
-                } else {
-                    lv.into()
-                },
-                right_value: if rv.is_empty() {
-                    "ok".into()
-                } else {
-                    rv.into()
-                },
-            };
-        // Thread-count invariance is unconditional: every DAG worker
-        // count reaches the same disposition with the same payload.
-        let base_err = disposition(&runs[0].1);
-        for (name, res) in &runs[1..] {
-            let err = disposition(res);
-            if err != base_err {
-                return Err(error_diff(runs[0].0, name, &base_err, &err));
-            }
-        }
-        // Serial agreement (including the exact error — e.g. a deadlock's
-        // reported time) only when the decomposition stands down. A
-        // multi-component deadlock legitimately reports component-local
-        // virtual time, so only the disposition is compared there.
-        let serial_err = disposition(&serial);
-        if stands_down {
-            if serial_err != base_err {
-                return Err(error_diff("serial", runs[0].0, &serial_err, &base_err));
-            }
-        } else if serial_err.is_empty() != base_err.is_empty() {
-            return Err(error_diff("serial", runs[0].0, &serial_err, &base_err));
-        }
-        let Ok(ref base) = runs[0].1 else {
-            continue; // every path errored identically
-        };
-        for (name, res) in &runs[1..] {
-            compare(runs[0].0, name, r, base, res.as_ref().expect("checked ok"))?;
-        }
-        if stands_down {
-            compare(
-                "serial",
-                runs[0].0,
-                r,
-                serial.as_ref().expect("checked ok"),
-                base,
-            )?;
-        }
-    }
-    Ok(())
-}
-
 /// Critical value of the two-sample KS test at significance `alpha` for
 /// sample sizes `n` and `m`: `c(α)·sqrt((n+m)/(n·m))` with
 /// `c(α) = sqrt(-ln(α/2)/2)`.
@@ -533,7 +433,7 @@ pub const ADAPTIVE_PRECISION: f64 = 0.05;
 /// length the adaptive run is compared against).
 pub const ADAPTIVE_MAX_REPS: usize = 12;
 
-/// Oracle 6 — the adaptive replication engine against its reference
+/// Oracle 5 — the adaptive replication engine against its reference
 /// stopping rule. Three deterministic checks per program:
 ///
 /// - **determinism** — two adaptive runs with the same (seed,
@@ -646,33 +546,6 @@ mod tests {
             let p = generate(&cfg, seed);
             check_differential(&p, &table, seed, 2).unwrap_or_else(|f| panic!("seed {seed}: {f}"));
         }
-    }
-
-    #[test]
-    fn dag_oracle_accepts_generated_programs() {
-        let cfg = GenConfig::differential();
-        let table = table_for(&cfg);
-        for seed in 0..10 {
-            let p = generate(&cfg, seed);
-            check_dag(&p, &table, seed, 2).unwrap_or_else(|f| panic!("seed {seed}: {f}"));
-        }
-    }
-
-    #[test]
-    fn dag_oracle_requires_identical_errors_across_thread_counts() {
-        // A maybe-deadlocking corpus exercises the error-disposition arm:
-        // deadlocks must reproduce identically at every worker count.
-        let cfg = GenConfig::maybe_deadlocking();
-        let table = table_for(&cfg);
-        let mut errored = 0;
-        for seed in 0..30 {
-            let p = generate(&cfg, seed);
-            check_dag(&p, &table, seed, 1).unwrap_or_else(|f| panic!("seed {seed}: {f}"));
-            if p.has_orphans() {
-                errored += 1;
-            }
-        }
-        assert!(errored > 0, "corpus never exercised the error arm");
     }
 
     #[test]

@@ -126,55 +126,6 @@ fn perturbed_sampler_is_caught_shrunk_and_replayable() {
     assert_eq!(parsed.oracle, "differential");
 }
 
-/// With the `divergence-injection` feature the DAG scheduler rotates the
-/// per-component seeds whenever more than one worker is in play — a model
-/// of a broken merge order. The thread-invariance oracle must catch it on
-/// any multi-component program and the shrinker must stay inside the
-/// multi-component family (single-component candidates take the serial
-/// path and pass, so the predicate rejects them).
-#[cfg(feature = "divergence-injection")]
-#[test]
-fn perturbed_component_merge_order_is_caught_and_shrunk() {
-    use pevpm_testkit::oracle::check_dag;
-
-    let gen_cfg = GenConfig::differential();
-    let mut sizes = gen_cfg.sizes.clone();
-    sizes.extend(gen_cfg.sizes.iter().map(|s| s * 2));
-    let table = synthetic_table(&sizes, 11);
-
-    let fails = |prog: &TestProgram, seed: u64| -> Option<Failure> {
-        check_dag(prog, &table, seed, 2).err().filter(|f| {
-            // Only thread-count divergences count; evaluation errors on
-            // degenerate shrink candidates are not the seeded defect.
-            f.kind() == "differential"
-        })
-    };
-
-    let (seed, prog, first) = (0..50u64)
-        .find_map(|seed| {
-            let prog = generate(&gen_cfg, seed);
-            fails(&prog, seed).map(|f| (seed, prog, f))
-        })
-        .expect("a rotated component merge order must be caught within 50 programs");
-
-    let minimised = shrink(&prog, &gen_cfg.sizes, |cand| fails(cand, seed).is_some());
-    assert!(
-        minimised.directives() <= 10,
-        "shrinker left {} directives:\n{}",
-        minimised.directives(),
-        minimised.to_text()
-    );
-    assert!(
-        fails(&minimised, seed).is_some(),
-        "minimised program must still diverge across thread counts"
-    );
-
-    let cx = Counterexample::new(&first, seed, &prog, minimised.clone());
-    let parsed = Counterexample::parse(&cx.render()).expect("artifact must parse back");
-    assert_eq!(parsed.program, minimised);
-    assert_eq!(parsed.oracle, "differential");
-}
-
 /// With the `divergence-injection` feature the adaptive engine's
 /// stopping check uses an off-by-one degrees-of-freedom count (the
 /// half-width of `n` samples is computed as if there were `n + 1`) — a

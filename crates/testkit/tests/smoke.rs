@@ -1,4 +1,4 @@
-//! The committed smoke corpus: 280 generated programs across the six
+//! The committed smoke corpus: 240 generated programs across the five
 //! oracles, run on every `cargo test`. Long-run fuzzing uses the same
 //! campaign driver through `pevpm fuzz`; this bounded corpus is the
 //! regression net every PR inherits.
@@ -51,11 +51,6 @@ fn ks_smoke() {
 #[test]
 fn diagnostics_smoke() {
     run(Mode::Diagnostics, 40);
-}
-
-#[test]
-fn dag_smoke() {
-    run(Mode::Dag, 40);
 }
 
 #[test]
