@@ -155,10 +155,10 @@ impl Rank {
     fn bcast_impl(&mut self, root: usize, payload: Option<Bytes>) -> Bytes {
         let n = self.nranks();
         let r = self.rank();
-        let mut data = if r == root {
-            payload.expect("root must supply the broadcast payload")
-        } else {
-            Bytes::new()
+        let mut data = match payload {
+            Some(p) if r == root => p,
+            None if r == root => panic!("root must supply the broadcast payload"),
+            _ => Bytes::new(),
         };
         if n == 1 {
             return data;
@@ -278,7 +278,9 @@ impl Rank {
         let n = self.nranks();
         let r = self.rank();
         if r == root {
-            let chunks = chunks.expect("root must supply scatter chunks");
+            let Some(chunks) = chunks else {
+                panic!("root must supply scatter chunks");
+            };
             assert_eq!(chunks.len(), n, "scatter needs one chunk per rank");
             let mut reqs = Vec::new();
             for (dst, chunk) in chunks.iter().enumerate() {

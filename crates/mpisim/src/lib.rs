@@ -1,12 +1,15 @@
 //! A simulated MPI library over the packet-level cluster simulator.
 //!
 //! This crate stands in for MPICH 1.2.0 on the paper's Perseus cluster:
-//! rank programs are ordinary Rust closures executed by coroutine-scheduled
-//! threads in exact virtual-time order, with an eager/rendezvous
-//! point-to-point protocol and MPICH-style collective algorithms whose
-//! network traffic flows through [`pevpm_netsim`]. The result is
-//! deterministic per seed and exposes the globally synchronised virtual
-//! clock that MPIBench relies on.
+//! rank programs are ordinary Rust closures, each on its own OS thread.
+//! The threads pass a baton, so exactly one runs at a time and ranks
+//! advance in exact virtual-time order: the rank making an MPI call runs
+//! the engine itself, and only a switch to another rank costs a thread
+//! wake-up (see [`sched`]). On top sit an eager/rendezvous point-to-point
+//! protocol and MPICH-style collective algorithms whose network traffic
+//! flows through [`pevpm_netsim`]. The result is deterministic per seed
+//! and exposes the globally synchronised virtual clock that MPIBench
+//! relies on.
 //!
 //! # Quick start
 //!
@@ -26,6 +29,8 @@
 //! .unwrap();
 //! assert!(report.virtual_time > pevpm_netsim::Time::ZERO);
 //! ```
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod collectives;
 pub mod config;

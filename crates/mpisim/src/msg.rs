@@ -57,7 +57,8 @@ pub struct MsgMeta {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Request(pub u64);
 
-/// Syscalls a rank thread issues to the scheduler.
+/// Syscalls a rank thread executes on the engine while it holds the
+/// baton.
 #[derive(Debug)]
 pub(crate) enum Call {
     /// Advance the rank's virtual clock by a computation time.
@@ -87,13 +88,14 @@ pub(crate) enum Call {
     /// The rank's program returned; carries the recorded trace (empty when
     /// tracing is disabled).
     Finish(Vec<crate::trace::TraceEvent>),
-    /// The rank's program panicked; the scheduler aborts the world.
-    Aborted(String),
 }
 
-/// Scheduler replies to rank syscalls.
+/// Replies to rank syscalls; a reply posted to a parked rank hands it
+/// the baton.
 #[derive(Debug)]
 pub(crate) enum Reply {
+    /// The rank's first turn: run the program from the top.
+    Start,
     /// Operation finished; the rank's clock is now `clock`.
     Ok { clock: Time },
     /// A nonblocking operation was posted.

@@ -6,15 +6,17 @@
 //! [`Rank::compute`]). Collective operations live in
 //! [`crate::collectives`] as further methods on this type.
 //!
-//! Every method is a *syscall*: it suspends the calling OS thread until the
-//! scheduler decides the operation's completion time, so virtual time flows
+//! Every method is a *syscall*: the calling rank thread, which holds the
+//! baton, executes it on the shared engine and returns once the scheduler
+//! has decided the operation's completion time, so virtual time flows
 //! correctly no matter what real-time interleaving the OS picks.
 
 use crate::msg::{Call, MsgMeta, Reply, Request, SimAborted, SrcSel, TagSel};
+use crate::sched::Baton;
 use crate::trace::{TraceEvent, TraceKind};
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
 use pevpm_netsim::{Dur, Time};
+use std::sync::Arc;
 
 /// Handle to one simulated MPI process.
 pub struct Rank {
@@ -22,8 +24,7 @@ pub struct Rank {
     nranks: usize,
     node: usize,
     clock: Time,
-    call_tx: Sender<Call>,
-    reply_rx: Receiver<Reply>,
+    baton: Arc<Baton>,
     tracing: bool,
     trace: Vec<TraceEvent>,
     coll_depth: u32,
@@ -34,8 +35,7 @@ impl Rank {
         id: usize,
         nranks: usize,
         node: usize,
-        call_tx: Sender<Call>,
-        reply_rx: Receiver<Reply>,
+        baton: Arc<Baton>,
         tracing: bool,
     ) -> Self {
         Rank {
@@ -43,17 +43,17 @@ impl Rank {
             nranks,
             node,
             clock: Time::ZERO,
-            call_tx,
-            reply_rx,
+            baton,
             tracing,
             trace: Vec::new(),
             coll_depth: 0,
         }
     }
 
-    pub(crate) fn send_finish(&mut self) {
+    /// The program returned: hand in the trace and pass the baton on.
+    pub(crate) fn finish(&mut self) {
         let trace = std::mem::take(&mut self.trace);
-        let _ = self.call_tx.send(Call::Finish(trace));
+        self.baton.finish(self.id, trace);
     }
 
     pub(crate) fn enter_collective(&mut self) {
@@ -77,17 +77,10 @@ impl Rank {
         }
     }
 
-    pub(crate) fn send_aborted(&self, message: String) {
-        let _ = self.call_tx.send(Call::Aborted(message));
-    }
-
     fn roundtrip(&mut self, call: Call) -> Reply {
-        if self.call_tx.send(call).is_err() {
-            std::panic::panic_any(SimAborted);
-        }
-        match self.reply_rx.recv() {
-            Ok(Reply::Poison) | Err(_) => std::panic::panic_any(SimAborted),
-            Ok(reply) => reply,
+        match self.baton.syscall(self.id, call) {
+            Reply::Poison => std::panic::panic_any(SimAborted),
+            reply => reply,
         }
     }
 
@@ -342,7 +335,11 @@ pub fn decode_f64s(b: &[u8]) -> Vec<f64> {
         "payload is not a whole number of f64s"
     );
     b.chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+        .map(|c| {
+            let mut le = [0u8; 8];
+            le.copy_from_slice(c);
+            f64::from_le_bytes(le)
+        })
         .collect()
 }
 

@@ -295,6 +295,12 @@ impl HeapEv {
     }
 }
 
+/// Initial capacity of the transfer table and the event heap. They are
+/// sized by the thread that builds the network, so their later growth
+/// (`realloc`) stays in that thread's malloc arena even when other threads
+/// drive the simulation, as `mpisim`'s rank threads do.
+const PRESIZE: usize = 256;
+
 impl Network {
     /// Create a network for the given cluster with a deterministic RNG seed.
     pub fn new(cfg: ClusterConfig, seed: u64) -> Self {
@@ -314,8 +320,8 @@ impl Network {
             port: (0..nodes)
                 .map(|_| Server::new(cfg.link_bw_bps, cfg.port_buffer_bytes))
                 .collect(),
-            transfers: Vec::new(),
-            heap: BinaryHeap::new(),
+            transfers: Vec::with_capacity(PRESIZE),
+            heap: BinaryHeap::with_capacity(PRESIZE),
             heap_seq: 0,
             rng: SmallRng::seed_from_u64(seed),
             stats: NetStats::default(),

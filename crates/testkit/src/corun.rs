@@ -1,7 +1,7 @@
 //! Co-simulation: interpret a [`TestProgram`] on real mpisim ranks.
 //!
 //! The same IR that lowers to a PEVPM model is executed here by
-//! coroutine-scheduled rank programs over the packet simulator, giving the
+//! mpisim rank programs over the packet simulator, giving the
 //! statistical and metamorphic oracles an independent ground truth. Tags
 //! are derived from item positions so loop iterations reuse a tag —
 //! matching stays FIFO per (source, tag), exactly like the model.
